@@ -3,10 +3,13 @@
 // full-system harnesses can replay.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "bumblebee/controller.h"
 #include "bumblebee/hot_table.h"
 #include "cache/cache.h"
 #include "common/rng.h"
+#include "hmm/paging.h"
 #include "mem/dram_device.h"
 #include "trace/generator.h"
 
@@ -39,6 +42,30 @@ static void BM_DramDevicePageMove(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DramDevicePageMove);
+
+// Paging-model touch over a lbm-sized resident set (about 170k OS pages).
+// Arg 0: every page fits, so each touch is a resident hit. Arg 1: the
+// visible capacity is half the pages, so about half the touches are
+// capacity faults that run the clock hand and replace a victim.
+static void BM_PagingTouch(benchmark::State& state) {
+  constexpr u64 kPages = 170000;
+  const bool faulting = state.range(0) != 0;
+  hmm::PagingConfig cfg;
+  cfg.visible_bytes = (faulting ? kPages / 2 : kPages) * cfg.os_page_bytes;
+  hmm::PagingModel paging(cfg);
+  for (u64 p = 0; p < kPages; ++p) paging.touch(p * cfg.os_page_bytes);
+  Rng rng(8);
+  std::vector<Addr> addrs(1 << 20);
+  for (Addr& a : addrs) a = rng.next_below(kPages * cfg.os_page_bytes);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(paging.touch(addrs[i]));
+    i = (i + 1) & (addrs.size() - 1);
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetLabel(faulting ? "capacity-fault stream" : "resident-hit stream");
+}
+BENCHMARK(BM_PagingTouch)->Arg(0)->Arg(1);
 
 static void BM_TraceGenerator(benchmark::State& state) {
   trace::TraceGenerator gen(trace::WorkloadProfile::by_name("mcf"), 3);

@@ -35,7 +35,9 @@ class SnapshotError : public std::ios_base::failure {
       : std::ios_base::failure("snapshot: " + what) {}
 };
 
-inline constexpr u32 kFormatVersion = 1;
+/// Bumped whenever a payload layout changes (2: per-core slices carry two
+/// device byte totals instead of per-traffic-class arrays).
+inline constexpr u32 kFormatVersion = 2;
 
 /// Payload type tags (one byte preceding every value).
 enum class Tag : u8 {

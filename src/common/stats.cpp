@@ -9,13 +9,6 @@ namespace bb {
 Histogram::Histogram(std::vector<double> upper_bounds)
     : bounds_(std::move(upper_bounds)), counts_(bounds_.size() + 1, 0) {}
 
-void Histogram::sample(double v, u64 weight) {
-  // First bucket whose upper bound is > v; past-the-end means overflow.
-  const auto it = std::upper_bound(bounds_.begin(), bounds_.end(), v);
-  counts_[static_cast<std::size_t>(it - bounds_.begin())] += weight;
-  total_ += weight;
-}
-
 double Histogram::fraction(std::size_t i) const {
   if (total_ == 0) return 0.0;
   return static_cast<double>(counts_.at(i)) / static_cast<double>(total_);

@@ -68,7 +68,23 @@ class Histogram {
   Histogram() : Histogram(std::vector<double>{}) {}
   explicit Histogram(std::vector<double> upper_bounds);
 
-  void sample(double v, u64 weight = 1);
+  void sample(double v, u64 weight = 1) { add(bucket_of(v), weight); }
+
+  /// The bucket `v` lands in (bucket_count() - 1 is the overflow bucket).
+  /// With add(), lets histograms sharing these bounds search once per
+  /// sample.
+  std::size_t bucket_of(double v) const {
+    // Counting the bounds not above v equals upper_bound's index for
+    // sorted bounds, without its unpredictable branches.
+    std::size_t i = 0;
+    for (double b : bounds_) i += !(v < b);
+    return i;
+  }
+  /// Adds `weight` samples to bucket `i`, as returned by bucket_of().
+  void add(std::size_t i, u64 weight = 1) {
+    counts_[i] += weight;
+    total_ += weight;
+  }
 
   std::size_t bucket_count() const { return counts_.size(); }
   u64 bucket(std::size_t i) const { return counts_.at(i); }

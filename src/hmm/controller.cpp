@@ -30,25 +30,23 @@ HmmResult HybridMemoryController::access(Addr addr, AccessType type,
   // Host-side phase attribution only; the nested device-timing phase in
   // DramDevice::access claims its own (exclusive) share of this span.
   prof::ScopedPhase prof_phase(prof::Phase::kHmmAccess);
-  // Per-core byte attribution works by device-counter snapshot: whatever
+  // Per-core byte attribution works by device-total snapshot: whatever
   // both devices move while service() runs — demand beats plus any fills,
   // writebacks or migrations the design triggers from this request — is
   // charged to the requesting core.
   const bool per_core = !core_stats_.empty();
-  std::array<u64, mem::kTrafficClassCount> hbm_rd{}, hbm_wr{}, dram_rd{},
-      dram_wr{};
+  u64 hbm_before = 0;
+  u64 dram_before = 0;
   if (per_core) {
-    hbm_rd = hbm_.stats().read_bytes;
-    hbm_wr = hbm_.stats().write_bytes;
-    dram_rd = dram_.stats().read_bytes;
-    dram_wr = dram_.stats().write_bytes;
+    hbm_before = hbm_.stats().total_bytes();
+    dram_before = dram_.stats().total_bytes();
   }
 
   const Tick fault = paging_.touch(addr, now);
   HmmResult res = service(addr, type, now + fault);
   res.fault_penalty = fault;
-  res.complete += 0;  // service() already accounts from the delayed start
 
+  const Tick latency = res.complete - now;
   ++stats_.requests;
   if (type == AccessType::kRead) {
     ++stats_.reads;
@@ -56,9 +54,12 @@ HmmResult HybridMemoryController::access(Addr addr, AccessType type,
     ++stats_.writes;
   }
   if (res.served_by_hbm) ++stats_.hbm_served;
-  stats_.total_latency += res.complete - now;
+  stats_.total_latency += latency;
   stats_.total_metadata_latency += res.metadata_latency;
-  stats_.latency_ns.sample(ticks_to_ns(res.complete - now));
+  // The per-core histograms share the aggregate's bounds: search once.
+  const std::size_t bucket =
+      stats_.latency_ns.bucket_of(ticks_to_ns(latency));
+  stats_.latency_ns.add(bucket);
 
   if (per_core) {
     const std::size_t c =
@@ -66,14 +67,10 @@ HmmResult HybridMemoryController::access(Addr addr, AccessType type,
     CoreStats& cs = core_stats_[c];
     ++cs.requests;
     if (res.served_by_hbm) ++cs.hbm_served;
-    cs.total_latency += res.complete - now;
-    cs.latency_ns.sample(ticks_to_ns(res.complete - now));
-    for (std::size_t k = 0; k < mem::kTrafficClassCount; ++k) {
-      cs.hbm_class_bytes[k] += (hbm_.stats().read_bytes[k] - hbm_rd[k]) +
-                               (hbm_.stats().write_bytes[k] - hbm_wr[k]);
-      cs.dram_class_bytes[k] += (dram_.stats().read_bytes[k] - dram_rd[k]) +
-                                (dram_.stats().write_bytes[k] - dram_wr[k]);
-    }
+    cs.total_latency += latency;
+    cs.latency_ns.add(bucket);
+    cs.hbm_bytes += hbm_.stats().total_bytes() - hbm_before;
+    cs.dram_bytes += dram_.stats().total_bytes() - dram_before;
   }
   if (sampler_) sampler_->on_request(now);
   return res;
@@ -259,8 +256,8 @@ void save_core_stats(snap::Writer& w, const CoreStats& cs) {
   w.put_u64(cs.hbm_served);
   w.put_u64(cs.total_latency);
   cs.latency_ns.save(w);
-  for (u64 b : cs.hbm_class_bytes) w.put_u64(b);
-  for (u64 b : cs.dram_class_bytes) w.put_u64(b);
+  w.put_u64(cs.hbm_bytes);
+  w.put_u64(cs.dram_bytes);
 }
 
 void load_core_stats(snap::Reader& r, CoreStats& cs) {
@@ -268,8 +265,8 @@ void load_core_stats(snap::Reader& r, CoreStats& cs) {
   cs.hbm_served = r.get_u64();
   cs.total_latency = r.get_u64();
   cs.latency_ns.load(r);
-  for (u64& b : cs.hbm_class_bytes) b = r.get_u64();
-  for (u64& b : cs.dram_class_bytes) b = r.get_u64();
+  cs.hbm_bytes = r.get_u64();
+  cs.dram_bytes = r.get_u64();
 }
 
 }  // namespace

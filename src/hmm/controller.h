@@ -16,7 +16,6 @@
 // into the off-chip range (their paging model then charges faults).
 #pragma once
 
-#include <array>
 #include <functional>
 #include <memory>
 #include <string>
@@ -126,19 +125,8 @@ struct CoreStats {
   Tick total_latency = 0;
   /// Per-request latency distribution (same buckets as the aggregate).
   Histogram latency_ns{HmmStats::latency_bounds_ns()};
-  std::array<u64, mem::kTrafficClassCount> hbm_class_bytes{};
-  std::array<u64, mem::kTrafficClassCount> dram_class_bytes{};
-
-  u64 hbm_bytes() const {
-    u64 s = 0;
-    for (u64 b : hbm_class_bytes) s += b;
-    return s;
-  }
-  u64 dram_bytes() const {
-    u64 s = 0;
-    for (u64 b : dram_class_bytes) s += b;
-    return s;
-  }
+  u64 hbm_bytes = 0;   ///< bytes the HBM device moved for this core
+  u64 dram_bytes = 0;  ///< bytes the off-chip DRAM moved for this core
   double hbm_serve_rate() const {
     return requests ? static_cast<double>(hbm_served) /
                           static_cast<double>(requests)

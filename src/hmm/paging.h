@@ -9,7 +9,7 @@
 // (minor-fault / compressed-swap cost, not a disk swap).
 #pragma once
 
-#include <unordered_map>
+#include <cstddef>
 #include <vector>
 
 #include "common/types.h"
@@ -59,19 +59,39 @@ class PagingModel {
   void reset_stats() { stats_ = PagingStats{}; }
 
   /// Snapshot/restore of the resident set (clock ring + reference bits +
-  /// hand) and fault counters; the page->slot map is rebuilt from the ring.
+  /// hand) and fault counters; the page->slot index is rebuilt from the
+  /// ring.
   void save(snap::Writer& w) const;
   void load(snap::Reader& r);
 
+  /// Home cell of `page` in an index of `cells` cells (a power of two).
+  /// Public so tests can build pages whose probe chains collide or wrap
+  /// the end of the table.
+  static std::size_t index_home(u64 page, std::size_t cells);
+  /// Current index size in cells (0 until the first page is admitted).
+  std::size_t index_cells() const { return index_.size(); }
+
  private:
+  static constexpr u32 kEmpty = 0;
+
+  /// Index cell holding `page`, or index_.size() when it is not resident.
+  std::size_t find_cell(u64 page) const;
+  /// Records that ring slot `slot` holds `page` (not already indexed).
+  void index_insert(u64 page, std::size_t slot);
+  /// Removes `page`'s cell, shifting its probe chain back over the hole.
+  void index_erase(u64 page);
+  /// Re-sizes the index to `cells` and re-inserts every ring slot.
+  void rebuild_index(std::size_t cells);
+
   TraceSink* trace_ = nullptr;
   PagingConfig cfg_;
   u64 capacity_pages_;
   PagingStats stats_;
-  // determinism-ok: keyed find/emplace/erase only (never iterated); victim
-  // order comes from the clock ring below, not from bucket order.
-  std::unordered_map<u64, u32> resident_;  ///< page id -> slot in clock ring
-  std::vector<u64> ring_;                  ///< clock ring of resident pages
+  /// page -> clock-ring slot: open addressing, linear probing, load at most
+  /// 1/2. A cell holds `slot + 1` (kEmpty = free); the page id is read back
+  /// from ring_, so occupancy is ring_.size().
+  std::vector<u32> index_;
+  std::vector<u64> ring_;  ///< clock ring of resident pages
   std::vector<bool> referenced_;
   std::size_t hand_ = 0;
 };

@@ -12,7 +12,23 @@
 namespace bb::mem {
 
 DramDevice::DramDevice(DramTimingParams params)
-    : params_(std::move(params)), energy_(params_) {
+    : params_(std::move(params)),
+      k_{params_.cycles_to_ticks(params_.tCAS),
+         params_.cycles_to_ticks(params_.tRCD),
+         params_.cycles_to_ticks(params_.tRP),
+         params_.cycles_to_ticks(params_.tRAS),
+         params_.burst_ticks(),
+         params_.cycles_to_ticks(params_.tWTR),
+         params_.cycles_to_ticks(params_.tRTW),
+         ns_to_ticks(params_.trefi_ns),
+         ns_to_ticks(params_.trfc_ns),
+         log2_floor(params_.interleave_bytes),
+         log2_floor(params_.channels),
+         log2_floor(params_.row_bytes),
+         log2_floor(params_.banks_per_channel)},
+      pow2_(is_pow2(params_.channels) && is_pow2(params_.banks_per_channel) &&
+            is_pow2(params_.interleave_bytes) && is_pow2(params_.row_bytes)),
+      energy_(params_) {
   assert(params_.channels > 0);
   assert(params_.banks_per_channel > 0);
   assert(is_pow2(params_.interleave_bytes));
@@ -20,7 +36,7 @@ DramDevice::DramDevice(DramTimingParams params)
   banks_.resize(static_cast<std::size_t>(params_.channels) *
                 params_.banks_per_channel);
   bus_ready_.resize(params_.channels, 0);
-  next_refresh_.resize(params_.channels, ns_to_ticks(params_.trefi_ns));
+  next_refresh_.resize(params_.channels, k_.tREFI);
   if (params_.queue.enabled) {
     scheduler_ =
         std::make_unique<ChannelScheduler>(params_.queue, params_.channels);
@@ -29,8 +45,8 @@ DramDevice::DramDevice(DramTimingParams params)
 
 Tick DramDevice::apply_refresh(u32 channel, Tick t) {
   if (!params_.refresh_enabled) return t;
-  const Tick trefi = ns_to_ticks(params_.trefi_ns);
-  const Tick trfc = ns_to_ticks(params_.trfc_ns);
+  const Tick trefi = k_.tREFI;
+  const Tick trfc = k_.tRFC;
   Tick& next = next_refresh_[channel];
   // Fast-forward long idle stretches: refreshes that completed entirely
   // during idle time cannot stall anything.
@@ -57,7 +73,7 @@ Tick DramDevice::apply_refresh(u32 channel, Tick t) {
   return t;
 }
 
-DramDevice::Decoded DramDevice::decode(Addr addr) const {
+DramDevice::Decoded DramDevice::decode_by_division(Addr addr) const {
   const u64 il = params_.interleave_bytes;
   const u64 chunk = addr / il;
   // XOR-fold higher address bits into the channel and bank indexes
@@ -84,6 +100,24 @@ DramDevice::Decoded DramDevice::decode(Addr addr) const {
   return {channel, bank, row};
 }
 
+DramDevice::Decoded DramDevice::decode_by_shift(Addr addr) const {
+  // decode_by_division with every divide and modulo by a power of two
+  // written as a shift or mask.
+  const u64 chunk = addr >> k_.il_shift;
+  const u64 ch_hash = chunk ^ (chunk >> 4) ^ (chunk >> 9) ^ (chunk >> 15);
+  const u32 channel = static_cast<u32>(ch_hash & (params_.channels - 1));
+  const u64 chan_addr = ((chunk >> k_.channel_shift) << k_.il_shift) +
+                        (addr & (params_.interleave_bytes - 1));
+  const u64 row_index = chan_addr >> k_.row_shift;
+  const u64 bank_hash = row_index ^ (row_index >> 3) ^ (row_index >> 7);
+  const u32 bank =
+      static_cast<u32>(bank_hash & (params_.banks_per_channel - 1));
+  const u32 row = params_.queue.timing_fixes
+                      ? static_cast<u32>(row_index)
+                      : static_cast<u32>(row_index >> k_.bank_shift);
+  return {channel, bank, row};
+}
+
 DramDevice::RawTiming DramDevice::do_beat(const Decoded& d, AccessType type,
                                           Tick now) {
   Bank& bank = banks_[static_cast<std::size_t>(d.channel) *
@@ -91,11 +125,11 @@ DramDevice::RawTiming DramDevice::do_beat(const Decoded& d, AccessType type,
                       d.bank];
   Tick& bus = bus_ready_[d.channel];
 
-  const Tick tCAS = params_.cycles_to_ticks(params_.tCAS);
-  const Tick tRCD = params_.cycles_to_ticks(params_.tRCD);
-  const Tick tRP = params_.cycles_to_ticks(params_.tRP);
-  const Tick tRAS = params_.cycles_to_ticks(params_.tRAS);
-  const Tick tBURST = params_.burst_ticks();
+  const Tick tCAS = k_.tCAS;
+  const Tick tRCD = k_.tRCD;
+  const Tick tRP = k_.tRP;
+  const Tick tRAS = k_.tRAS;
+  const Tick tBURST = k_.tBURST;
 
   Tick t = apply_refresh(d.channel, std::max(now, bank.ready_at));
   // Bus turnaround: a read command after a write burst on the same bank
@@ -108,7 +142,7 @@ DramDevice::RawTiming DramDevice::do_beat(const Decoded& d, AccessType type,
     t = std::max(t, bank.write_recovery_at);
   } else if (type == AccessType::kWrite && !bank.last_was_write &&
              (!params_.queue.timing_fixes || bank.has_issued)) {
-    t += params_.cycles_to_ticks(params_.tRTW);
+    t += k_.tRTW;
   }
   const Tick cmd_issue = t;
   if (bank.open_row == d.row) {
@@ -142,7 +176,7 @@ DramDevice::RawTiming DramDevice::do_beat(const Decoded& d, AccessType type,
     energy_.on_write_burst();
     bank.last_was_write = true;
     bank.write_recovery_at =
-        data_start + tBURST + params_.cycles_to_ticks(params_.tWTR);
+        data_start + tBURST + k_.tWTR;
   }
   bank.has_issued = true;
   ++stats_.beats;
@@ -155,18 +189,20 @@ DramDevice::RawTiming DramDevice::timed_beats(Addr addr, u64 bytes,
   const Addr first = addr & ~(beat_bytes - 1);
   const Addr last = (addr + bytes - 1) & ~(beat_bytes - 1);
 
+  const u64 beats = (last - first) / beat_bytes + 1;
+  const u64 capacity = params_.capacity_bytes;
+
   RawTiming res;
   res.complete = now;
-  bool first_beat = true;
-  for (Addr a = first;; a += beat_bytes) {
-    const RawTiming beat =
-        do_beat(decode(a % params_.capacity_bytes), type, now);
-    if (first_beat) {
-      res.start = beat.start;
-      first_beat = false;
-    }
+  // Wrap by capacity once; each later beat re-wraps only when its step
+  // crosses the end, which yields the same address as wrapping every beat.
+  Addr a = first % capacity;
+  for (u64 i = 0; i < beats; ++i) {
+    const RawTiming beat = do_beat(decode(a), type, now);
+    if (i == 0) res.start = beat.start;
     res.complete = std::max(res.complete, beat.complete);
-    if (a == last) break;
+    a += beat_bytes;
+    if (a >= capacity) a %= capacity;
   }
   return res;
 }
@@ -265,8 +301,8 @@ AccessResult DramDevice::access(Addr addr, u64 bytes, AccessType type,
 
 Tick DramDevice::refresh_adjusted(u32 channel, Tick t) const {
   if (!params_.refresh_enabled) return t;
-  const Tick trefi = ns_to_ticks(params_.trefi_ns);
-  const Tick trfc = ns_to_ticks(params_.trfc_ns);
+  const Tick trefi = k_.tREFI;
+  const Tick trfc = k_.tRFC;
   Tick next = next_refresh_[channel];
   // Mirror apply_refresh's arithmetic without mutating state: refreshes
   // that completed entirely before `t` cannot stall anything; a `t`

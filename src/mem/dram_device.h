@@ -173,6 +173,11 @@ class DramDevice final : private QueueBackend {
   /// and tools can construct colliding or co-located address pairs.
   Decoded decode_addr(Addr addr) const { return decode(addr); }
 
+  /// The same decode by integer division, valid for any geometry. It serves
+  /// geometries whose channel or bank count is not a power of two, and is
+  /// the oracle the shift-and-mask path is tested against.
+  Decoded decode_by_division(Addr addr) const;
+
  private:
   struct Bank {
     u32 open_row = kNoRow;
@@ -190,7 +195,12 @@ class DramDevice final : private QueueBackend {
     Tick complete = 0;
   };
 
-  Decoded decode(Addr addr) const;
+  /// Shift-and-mask decode when the whole geometry is a power of two (both
+  /// presets), division otherwise; both give identical results.
+  Decoded decode(Addr addr) const {
+    return pow2_ ? decode_by_shift(addr) : decode_by_division(addr);
+  }
+  Decoded decode_by_shift(Addr addr) const;
 
   /// Times one beat through its bank and channel bus.
   RawTiming do_beat(const Decoded& d, AccessType type, Tick now);
@@ -212,7 +222,16 @@ class DramDevice final : private QueueBackend {
   QueueBackend::Issue issue(Addr addr, u64 bytes, AccessType type,
                             Tick now) override;
 
+  /// Construction-time constants derived from params_: every timing in
+  /// ticks, and the shift amounts of the power-of-two decode.
+  struct Derived {
+    Tick tCAS, tRCD, tRP, tRAS, tBURST, tWTR, tRTW, tREFI, tRFC;
+    u32 il_shift, channel_shift, row_shift, bank_shift;
+  };
+
   DramTimingParams params_;
+  Derived k_;
+  bool pow2_;  ///< channels, banks, interleave and row are powers of two
   std::vector<Bank> banks_;          // channels * banks_per_channel
   std::vector<Tick> bus_ready_;      // per channel
   std::vector<Tick> next_refresh_;   // per channel

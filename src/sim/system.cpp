@@ -370,8 +370,8 @@ RunResult System::run_lanes_current(const std::vector<CoreLane>& lanes,
         p.mean_latency_ns = cs.mean_latency_ns();
         p.latency_p50_ns = cs.latency_ns.quantile(0.50);
         p.latency_p99_ns = cs.latency_ns.quantile(0.99);
-        p.hbm_bytes = cs.hbm_bytes();
-        p.dram_bytes = cs.dram_bytes();
+        p.hbm_bytes = cs.hbm_bytes;
+        p.dram_bytes = cs.dram_bytes;
         req_sum += cs.requests;
         served_sum += cs.hbm_served;
         latency_sum += cs.total_latency;

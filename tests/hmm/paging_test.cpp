@@ -2,6 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <map>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
+#include "common/snapshot.h"
+#include "common/trace_event.h"
+
 namespace bb::hmm {
 namespace {
 
@@ -10,6 +19,90 @@ PagingConfig tiny(u64 pages) {
   cfg.visible_bytes = pages * cfg.os_page_bytes;
   cfg.fault_penalty = ns_to_ticks(100);
   return cfg;
+}
+
+constexpr u64 kPage = 4 * KiB;
+
+/// Independent clock model over a std::map index: the oracle the paging
+/// index is checked against.
+class ReferenceClock {
+ public:
+  explicit ReferenceClock(u64 capacity) : capacity_(capacity) {}
+
+  /// Returns the evicted page on a capacity fault, kNone otherwise.
+  u64 touch(u64 page) {
+    const auto it = slot_of_.find(page);
+    if (it != slot_of_.end()) {
+      referenced_[it->second] = true;
+      return kNone;
+    }
+    if (ring_.size() < capacity_) {
+      slot_of_[page] = ring_.size();
+      ring_.push_back(page);
+      referenced_.push_back(true);
+      ++first_touches;
+      return kNone;
+    }
+    for (;; ++hand_) {
+      if (hand_ >= ring_.size()) hand_ = 0;
+      if (!referenced_[hand_]) break;
+      referenced_[hand_] = false;
+    }
+    const u64 victim = ring_[hand_];
+    slot_of_.erase(victim);
+    ring_[hand_] = page;
+    referenced_[hand_] = true;
+    slot_of_[page] = hand_;
+    ++hand_;
+    ++faults;
+    return victim;
+  }
+
+  static constexpr u64 kNone = ~u64{0};
+  u64 first_touches = 0;
+  u64 faults = 0;
+
+ private:
+  u64 capacity_;
+  std::map<u64, std::size_t> slot_of_;
+  std::vector<u64> ring_;
+  std::vector<bool> referenced_;
+  std::size_t hand_ = 0;
+};
+
+/// Touches `page` in both models and checks they agree on the penalty and,
+/// for a capacity fault, on the victim.
+void touch_both(PagingModel& model, MemoryTraceSink& sink,
+                ReferenceClock& ref, u64 page, const std::string& where) {
+  const std::size_t events = sink.events().size();
+  const Tick penalty = model.touch(page * kPage + (page % 61) * 64);
+  const u64 victim = ref.touch(page);
+  if (victim == ReferenceClock::kNone) {
+    ASSERT_EQ(penalty, 0u) << where << " page " << page;
+    ASSERT_EQ(sink.events().size(), events) << where << " page " << page;
+    return;
+  }
+  ASSERT_EQ(penalty, model.config().fault_penalty) << where << " page " << page;
+  ASSERT_EQ(sink.events().size(), events + 1) << where;
+  const TraceEvent& ev = sink.events().back();
+  ASSERT_EQ(ev.args.at(1).key, "victim_page");
+  ASSERT_EQ(ev.args.at(1).u, victim) << where << " page " << page;
+}
+
+/// A page stream with a hot set and a uniform tail over `universe` pages.
+std::vector<u64> random_stream(u64 seed, u64 universe, std::size_t n) {
+  Rng rng(seed);
+  std::vector<u64> pages;
+  pages.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    pages.push_back(rng.next_bool(0.5) ? rng.next_below(1 + universe / 8)
+                                       : rng.next_below(universe));
+  }
+  return pages;
+}
+
+std::string tmp_path(const char* name) {
+  return std::string(::testing::TempDir()) + "/" + name;
 }
 
 TEST(Paging, ColdFaultsAreFree) {
@@ -115,6 +208,107 @@ TEST(Paging, ResetStatsClearsCountersKeepsResidency) {
   EXPECT_EQ(p.touch(2 * 4 * KiB), 0u);
   EXPECT_EQ(p.stats().faults, 0u);
   EXPECT_EQ(p.stats().first_touches, 0u);
+}
+
+TEST(Paging, MatchesReferenceClockOnRandomStreams) {
+  // Capacities from one page up to past several index doublings; the
+  // universe is twice the capacity, so the stream mixes hits, cold faults
+  // and capacity faults.
+  for (u64 capacity : {u64{1}, u64{2}, u64{3}, u64{7}, u64{8}, u64{9},
+                       u64{100}, u64{1000}}) {
+    for (u64 seed : {u64{1}, u64{2}, u64{3}}) {
+      PagingModel model(tiny(capacity));
+      MemoryTraceSink sink;
+      model.set_trace_sink(&sink);
+      ReferenceClock ref(capacity);
+      const std::string where = "capacity " + std::to_string(capacity) +
+                                " seed " + std::to_string(seed);
+      for (u64 page : random_stream(seed, 2 * capacity + 3, 20000)) {
+        touch_both(model, sink, ref, page, where);
+      }
+      EXPECT_EQ(model.stats().first_touches, ref.first_touches) << where;
+      EXPECT_EQ(model.stats().faults, ref.faults) << where;
+      EXPECT_GT(ref.faults, 0u) << where;
+    }
+  }
+}
+
+TEST(Paging, ProbeChainsWrappingTheTableEnd) {
+  // Eight resident pages fill a 16-cell index to its 1/2 load bound. Pages
+  // homed on the last two cells and the first one build probe chains that
+  // wrap from the table's end to its start; capacity faults then erase
+  // from inside those chains and must shift them back across the wrap.
+  constexpr u64 kCapacity = 8;
+  PagingModel model(tiny(kCapacity));
+  MemoryTraceSink sink;
+  model.set_trace_sink(&sink);
+  ReferenceClock ref(kCapacity);
+  for (u64 page = 0; page < kCapacity; ++page) {
+    touch_both(model, sink, ref, page * 1000 + 1, "fill");
+  }
+  const std::size_t cells = model.index_cells();
+  ASSERT_EQ(cells, 16u);
+  std::vector<u64> wrapping;  // homes cells-1, cells-2 and 0, interleaved
+  for (u64 page = 0; wrapping.size() < 24; ++page) {
+    const std::size_t home = PagingModel::index_home(page, cells);
+    if (home == cells - 1 || home == cells - 2 || home == 0) {
+      wrapping.push_back(page);
+    }
+  }
+  Rng rng(7);
+  for (int i = 0; i < 5000; ++i) {
+    const u64 page = wrapping[rng.next_below(wrapping.size())];
+    touch_both(model, sink, ref, page, "wrap step " + std::to_string(i));
+  }
+  EXPECT_EQ(model.index_cells(), cells) << "a full ring never regrows";
+  EXPECT_EQ(model.stats().faults, ref.faults);
+  EXPECT_GT(ref.faults, 1000u);
+}
+
+TEST(Paging, SaveLoadMidStreamContinuesIdentically) {
+  // Save once while the ring is still filling (the restored index must
+  // keep growing) and once after it is full (capacity faults continue).
+  for (std::size_t cut : {std::size_t{150}, std::size_t{6000}}) {
+    constexpr u64 kCapacity = 300;
+    const std::vector<u64> stream = random_stream(11, 700, 12000);
+    PagingModel original(tiny(kCapacity));
+    MemoryTraceSink sink;
+    original.set_trace_sink(&sink);
+    ReferenceClock ref(kCapacity);
+    for (std::size_t i = 0; i < cut; ++i) {
+      touch_both(original, sink, ref, stream[i], "before save");
+    }
+    const std::string path = tmp_path("paging_mid_stream.bbsnap");
+    snap::Writer w;
+    original.save(w);
+    w.commit(path);
+    PagingModel restored(tiny(kCapacity));
+    snap::Reader r(path);
+    restored.load(r);
+    ASSERT_TRUE(r.at_end());
+    EXPECT_EQ(restored.stats().first_touches, original.stats().first_touches);
+    EXPECT_EQ(restored.stats().faults, original.stats().faults);
+
+    MemoryTraceSink restored_sink;
+    restored.set_trace_sink(&restored_sink);
+    const std::size_t events_at_cut = sink.events().size();
+    for (std::size_t i = cut; i < stream.size(); ++i) {
+      const Addr addr = stream[i] * kPage;
+      ASSERT_EQ(restored.touch(addr), original.touch(addr))
+          << "cut " << cut << " touch " << i;
+    }
+    EXPECT_EQ(restored.stats().first_touches, original.stats().first_touches);
+    EXPECT_EQ(restored.stats().faults, original.stats().faults);
+    // Same victims, in the same order, after the cut.
+    ASSERT_EQ(restored_sink.events().size(),
+              sink.events().size() - events_at_cut);
+    ASSERT_GT(restored_sink.events().size(), 0u);
+    for (std::size_t e = 0; e < restored_sink.events().size(); ++e) {
+      EXPECT_EQ(restored_sink.events()[e].args.at(1).u,
+                sink.events()[events_at_cut + e].args.at(1).u);
+    }
+    std::remove(path.c_str());
+  }
 }
 
 }  // namespace
