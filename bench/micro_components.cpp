@@ -9,6 +9,7 @@
 #include "bumblebee/hot_table.h"
 #include "cache/cache.h"
 #include "common/rng.h"
+#include "hmm/controller.h"
 #include "hmm/paging.h"
 #include "mem/dram_device.h"
 #include "trace/generator.h"
@@ -67,14 +68,34 @@ static void BM_PagingTouch(benchmark::State& state) {
 }
 BENCHMARK(BM_PagingTouch)->Arg(0)->Arg(1);
 
-static void BM_TraceGenerator(benchmark::State& state) {
-  trace::TraceGenerator gen(trace::WorkloadProfile::by_name("mcf"), 3);
+static void BM_TraceGenerator(benchmark::State& state, const char* workload) {
+  trace::TraceGenerator gen(trace::WorkloadProfile::by_name(workload), 3);
   for (auto _ : state) {
     benchmark::DoNotOptimize(gen.next());
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_TraceGenerator);
+BENCHMARK_CAPTURE(BM_TraceGenerator, mcf, "mcf");
+BENCHMARK_CAPTURE(BM_TraceGenerator, lbm, "lbm");
+BENCHMARK_CAPTURE(BM_TraceGenerator, cam4, "cam4");
+
+// The per-request latency-histogram bucket lookup over a spread of
+// latencies: mostly HBM/DRAM hits (20-600 ns) with a fault-penalty tail.
+static void BM_LatencyBucket(benchmark::State& state) {
+  Rng rng(9);
+  std::vector<Tick> latencies(1 << 16);
+  for (Tick& t : latencies) {
+    t = rng.next_bool(0.95) ? ns_to_ticks(20) + rng.next_below(ns_to_ticks(580))
+                            : rng.next_below(ns_to_ticks(20000));
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(hmm::HmmStats::latency_bucket(latencies[i]));
+    i = (i + 1) & (latencies.size() - 1);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LatencyBucket);
 
 static void BM_HotTableTouch(benchmark::State& state) {
   bumblebee::HotTable hot(8, 8, 4095);
@@ -118,14 +139,16 @@ static void BM_BumblebeeAccess(benchmark::State& state) {
 }
 BENCHMARK(BM_BumblebeeAccess);
 
+// Table sizes: the hot-region counts of lbm (3676) and cam4 (24576), and
+// a table well past the largest profile's.
 static void BM_ZipfSample(benchmark::State& state) {
-  ZipfSampler zipf(100000, 1.1);
+  ZipfSampler zipf(static_cast<u64>(state.range(0)), 1.1);
   Rng rng(7);
   for (auto _ : state) {
     benchmark::DoNotOptimize(zipf.sample(rng));
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_ZipfSample);
+BENCHMARK(BM_ZipfSample)->Arg(3676)->Arg(24576)->Arg(100000);
 
 BENCHMARK_MAIN();

@@ -1,7 +1,5 @@
 #include "common/rng.h"
 
-#include <algorithm>
-
 namespace bb {
 
 ZipfSampler::ZipfSampler(u64 n, double s) : n_(n == 0 ? 1 : n), s_(s) {
@@ -13,12 +11,6 @@ ZipfSampler::ZipfSampler(u64 n, double s) : n_(n == 0 ? 1 : n), s_(s) {
   }
   for (auto& c : cdf_) c /= sum;
   cdf_.back() = 1.0;  // guard against rounding
-}
-
-u64 ZipfSampler::sample(Rng& rng) const {
-  const double u = rng.next_double();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  return static_cast<u64>(it - cdf_.begin());
 }
 
 }  // namespace bb

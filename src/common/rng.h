@@ -74,18 +74,6 @@ class Rng {
   std::array<u64, 4> state() const { return state_; }
   void set_state(const std::array<u64, 4>& s) { state_ = s; }
 
-  /// Geometric-ish positive gap with the given mean (>= 1).
-  u64 next_gap(double mean) {
-    if (mean <= 1.0) return 1;
-    // Inverse-CDF sampling of a geometric distribution with the requested
-    // mean; deterministic and cheap.
-    const double p = 1.0 / mean;
-    const double u = next_double();
-    const double g = std::log1p(-u) / std::log1p(-p);
-    u64 gap = static_cast<u64>(g) + 1;
-    return gap == 0 ? 1 : gap;
-  }
-
  private:
   static constexpr u64 rotl(u64 x, int k) {
     return (x << k) | (x >> (64 - k));
@@ -94,19 +82,57 @@ class Rng {
   std::array<u64, 4> state_{};
 };
 
+/// Positive gaps with a fixed mean (>= 1), by inverse-CDF sampling of a
+/// geometric distribution: deterministic and cheap. The per-mean term
+/// log1p(-1/mean) is computed at construction, so each gap costs one
+/// uniform draw and one log1p. A mean <= 1 yields 1 without drawing.
+class GeometricGap {
+ public:
+  explicit GeometricGap(double mean)
+      : unit_(mean <= 1.0), log1m_p_(unit_ ? 0.0 : std::log1p(-1.0 / mean)) {}
+
+  u64 sample(Rng& rng) const {
+    if (unit_) return 1;
+    const double g = std::log1p(-rng.next_double()) / log1m_p_;
+    const u64 gap = static_cast<u64>(g) + 1;
+    return gap == 0 ? 1 : gap;
+  }
+
+ private:
+  bool unit_;
+  double log1m_p_;  ///< log1p(-p) with p = 1 / mean
+};
+
 /// Samples from a Zipf distribution over {0, 1, ..., n-1} with exponent s.
 ///
 /// Uses a precomputed inverse-CDF table (O(n) setup, O(log n) sampling),
 /// which is exact and deterministic — appropriate for hot-set sizes up to a
-/// few million pages.
+/// few million pages. The search is branch-free and returns the index
+/// std::lower_bound would.
 class ZipfSampler {
  public:
   ZipfSampler(u64 n, double s);
 
-  u64 sample(Rng& rng) const;
+  u64 sample(Rng& rng) const { return index_of(rng.next_double()); }
+
+  /// The first index whose CDF entry is >= u, for u in [0, 1).
+  u64 index_of(double u) const {
+    // Halve the candidate range [base, base + len] each step with a
+    // conditional move instead of a branch the CPU cannot predict.
+    const double* base = cdf_.data();
+    std::size_t len = cdf_.size();
+    while (len > 1) {
+      const std::size_t half = len / 2;
+      base = base[half] < u ? base + half : base;
+      len -= half;
+    }
+    return static_cast<u64>(base - cdf_.data()) + (*base < u);
+  }
 
   u64 n() const { return n_; }
   double s() const { return s_; }
+  /// The inverse-CDF table index_of() searches: entry i is P(X <= i).
+  const std::vector<double>& cdf() const { return cdf_; }
 
  private:
   u64 n_;

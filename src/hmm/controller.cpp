@@ -1,6 +1,7 @@
 #include "hmm/controller.h"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 
 #include "common/metrics.h"
@@ -11,12 +12,47 @@
 namespace bb::hmm {
 
 std::vector<double> HmmStats::latency_bounds_ns() {
-  // Fine steps through the HBM/DRAM hit range, widening geometrically into
-  // the fault-penalty tail; the overflow bucket catches pathological waits.
-  return {20,   40,   60,   80,   100,  120,   140,   160,   180,
-          200,  225,  250,  275,  300,  350,   400,   450,   500,
-          600,  700,  800,  1000, 1250, 1500,  2000,  3000,  5000,
-          7500, 10000, 20000, 50000, 100000};
+  return {kLatencyBoundsNs.begin(), kLatencyBoundsNs.end()};
+}
+
+namespace {
+
+// latency_bucket()'s lookup table, built at compile time. For a whole
+// number b, b <= t / 1000.0 (the double ticks_to_ns) holds exactly when
+// b <= t / 1000 in integers: t >= 1000 b divides to at least b, and
+// t <= 1000 b - 1 divides to at most b - 0.001, many rounding steps below
+// b because every bound is below 2^17 (and any t the double rounds lies
+// far past the last bound, in the overflow bucket). Every bound is also a
+// multiple of the bounds' common divisor, so b <= t / 1000 holds exactly
+// when b <= step * (t / (1000 * step)), and the table needs one entry per
+// step up to the last bound.
+constexpr u32 latency_step_ns() {
+  u32 g = 0;
+  for (u32 b : HmmStats::kLatencyBoundsNs) g = std::gcd(g, b);
+  return g;
+}
+
+constexpr Tick kLatencyStepTicks = latency_step_ns() * kTicksPerNs;
+
+constexpr auto kLatencyBucketOfStep = [] {
+  constexpr auto& bounds = HmmStats::kLatencyBoundsNs;
+  std::array<u8, bounds.back() / latency_step_ns() + 1> table{};
+  std::size_t below = 0;  // bounds <= this step's ns
+  for (std::size_t j = 0; j < table.size(); ++j) {
+    while (below < bounds.size() && bounds[below] <= j * latency_step_ns()) {
+      ++below;
+    }
+    table[j] = static_cast<u8>(below);
+  }
+  return table;
+}();
+
+}  // namespace
+
+std::size_t HmmStats::latency_bucket(Tick t) {
+  const Tick step = t / kLatencyStepTicks;
+  return step < kLatencyBucketOfStep.size() ? kLatencyBucketOfStep[step]
+                                            : kLatencyBoundsNs.size();
 }
 
 HybridMemoryController::HybridMemoryController(std::string name,
@@ -56,9 +92,8 @@ HmmResult HybridMemoryController::access(Addr addr, AccessType type,
   if (res.served_by_hbm) ++stats_.hbm_served;
   stats_.total_latency += latency;
   stats_.total_metadata_latency += res.metadata_latency;
-  // The per-core histograms share the aggregate's bounds: search once.
-  const std::size_t bucket =
-      stats_.latency_ns.bucket_of(ticks_to_ns(latency));
+  // The per-core histograms share the aggregate's bounds: look up once.
+  const std::size_t bucket = HmmStats::latency_bucket(latency);
   stats_.latency_ns.add(bucket);
 
   if (per_core) {
@@ -227,7 +262,8 @@ DramOnlyController::DramOnlyController(mem::DramDevice& hbm,
 HmmResult DramOnlyController::service(Addr addr, AccessType type, Tick now) {
   HmmResult res;
   // HBM absent: all OS addresses fold into the off-chip DRAM.
-  const Addr phys = addr % dram().capacity();
+  const u64 capacity = dram().capacity();
+  const Addr phys = addr >= capacity ? addr % capacity : addr;
   const auto r = ecc_demand(dram(), phys, 64, type, now);
   res.complete = r.access.complete;
   res.served_by_hbm = false;

@@ -16,6 +16,7 @@
 // into the off-chip range (their paging model then charges faults).
 #pragma once
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <string>
@@ -64,7 +65,20 @@ struct HmmStats {
   Tick total_metadata_latency = 0;
 
   /// Bucket upper bounds (ns) for the per-request latency histogram below.
+  /// Fine steps through the HBM/DRAM hit range, widening geometrically
+  /// into the fault-penalty tail; the overflow bucket catches pathological
+  /// waits. Every bound is a whole number of ns, which latency_bucket()
+  /// relies on.
+  static constexpr std::array<u32, 32> kLatencyBoundsNs = {
+      20,   40,   60,   80,   100,  120,   140,   160,   180,
+      200,  225,  250,  275,  300,  350,   400,   450,   500,
+      600,  700,  800,  1000, 1250, 1500,  2000,  3000,  5000,
+      7500, 10000, 20000, 50000, 100000};
   static std::vector<double> latency_bounds_ns();
+  /// The latency_ns bucket of a latency of `t` ticks, in O(1) from the
+  /// integer t / kTicksPerNs: equal to
+  /// latency_ns.bucket_of(ticks_to_ns(t)) for every t.
+  static std::size_t latency_bucket(Tick t);
   /// Per-request end-to-end latency distribution (ns), including fault
   /// penalties — the source of the reported p50/p90/p99/p99.9.
   Histogram latency_ns{latency_bounds_ns()};

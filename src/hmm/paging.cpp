@@ -1,5 +1,8 @@
 #include "hmm/paging.h"
 
+#include <stdexcept>
+#include <string>
+
 #include "common/check.h"
 #include "common/snapshot.h"
 #include "common/trace_event.h"
@@ -7,9 +10,22 @@
 namespace bb::hmm {
 
 PagingModel::PagingModel(const PagingConfig& cfg)
-    : cfg_(cfg),
-      capacity_pages_(cfg.enabled ? cfg.visible_bytes / cfg.os_page_bytes
-                                  : 0) {}
+    : cfg_(cfg), page_shift_(log2_floor(cfg.os_page_bytes)) {
+  if (!is_pow2(cfg.os_page_bytes)) {
+    throw std::invalid_argument(
+        "paging: os_page_bytes must be a power of two, got " +
+        std::to_string(cfg.os_page_bytes));
+  }
+  if (cfg.enabled && cfg.visible_bytes < cfg.os_page_bytes) {
+    // A resident set of zero pages would send the first touch down the
+    // capacity-fault path with no victim to evict.
+    throw std::invalid_argument(
+        "paging: visible_bytes (" + std::to_string(cfg.visible_bytes) +
+        ") holds no whole OS page of " + std::to_string(cfg.os_page_bytes) +
+        " bytes");
+  }
+  capacity_pages_ = cfg.enabled ? cfg.visible_bytes >> page_shift_ : 0;
+}
 
 namespace {
 
@@ -74,7 +90,7 @@ void PagingModel::rebuild_index(std::size_t cells) {
 
 Tick PagingModel::touch(Addr addr, Tick now) {
   if (!cfg_.enabled) return 0;
-  const u64 page = addr / cfg_.os_page_bytes;
+  const u64 page = addr >> page_shift_;
 
   const std::size_t cell = find_cell(page);
   if (cell != index_.size()) {

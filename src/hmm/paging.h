@@ -28,7 +28,7 @@ namespace bb::hmm {
 struct PagingConfig {
   bool enabled = true;
   u64 visible_bytes = 10 * GiB;  ///< OS-visible memory capacity
-  u64 os_page_bytes = 4 * KiB;
+  u64 os_page_bytes = 4 * KiB;  ///< a power of two
   Tick fault_penalty = ns_to_ticks(200.0);
 };
 
@@ -39,6 +39,8 @@ struct PagingStats {
 
 class PagingModel {
  public:
+  /// Throws std::invalid_argument unless os_page_bytes is a power of two
+  /// and, with paging enabled, visible_bytes holds at least one OS page.
   explicit PagingModel(const PagingConfig& cfg);
 
   /// Touches the OS page containing `addr` at simulated tick `now`;
@@ -85,6 +87,7 @@ class PagingModel {
 
   TraceSink* trace_ = nullptr;
   PagingConfig cfg_;
+  u32 page_shift_;  ///< log2(os_page_bytes)
   u64 capacity_pages_;
   PagingStats stats_;
   /// page -> clock-ring slot: open addressing, linear probing, load at most

@@ -194,9 +194,10 @@ DramDevice::RawTiming DramDevice::timed_beats(Addr addr, u64 bytes,
 
   RawTiming res;
   res.complete = now;
-  // Wrap by capacity once; each later beat re-wraps only when its step
-  // crosses the end, which yields the same address as wrapping every beat.
-  Addr a = first % capacity;
+  // Wrap by capacity only when the address is past the end; each later
+  // beat re-wraps only when its step crosses the end, which yields the
+  // same address as wrapping every beat.
+  Addr a = first >= capacity ? first % capacity : first;
   for (u64 i = 0; i < beats; ++i) {
     const RawTiming beat = do_beat(decode(a), type, now);
     if (i == 0) res.start = beat.start;
@@ -265,6 +266,7 @@ AccessResult DramDevice::access(Addr addr, u64 bytes, AccessType type,
     auto& by_class = (type == AccessType::kRead) ? stats_.read_bytes
                                                  : stats_.write_bytes;
     by_class[static_cast<std::size_t>(cls)] += moved;
+    stats_.moved_bytes += moved;
   }
 
   // A coalesced read rides the original fill, whose ECC verdict was
@@ -454,6 +456,7 @@ void DramDevice::load(snap::Reader& r) {
   stats_.ue_count = r.get_u64();
   for (u64& b : stats_.read_bytes) b = r.get_u64();
   for (u64& b : stats_.write_bytes) b = r.get_u64();
+  stats_.moved_bytes = stats_.total_read_bytes() + stats_.total_write_bytes();
   const u64 acts = r.get_u64();
   const u64 rd = r.get_u64();
   const u64 wr = r.get_u64();

@@ -68,6 +68,9 @@ struct DramStats {
   u64 ue_count = 0;     ///< detected-uncorrectable errors
   std::array<u64, kTrafficClassCount> read_bytes{};
   std::array<u64, kTrafficClassCount> write_bytes{};
+  /// Running sum of read_bytes and write_bytes over every class, so
+  /// per-request attribution reads one word.
+  u64 moved_bytes = 0;
 
   u64 total_read_bytes() const {
     u64 s = 0;
@@ -79,7 +82,7 @@ struct DramStats {
     for (u64 b : write_bytes) s += b;
     return s;
   }
-  u64 total_bytes() const { return total_read_bytes() + total_write_bytes(); }
+  u64 total_bytes() const { return moved_bytes; }
 
   double row_hit_rate() const {
     const u64 n = row_hits + row_misses + row_empty;

@@ -1,6 +1,7 @@
 #include "sim/core_model.h"
 
 #include <algorithm>
+#include <bit>
 #include <memory>
 #include <vector>
 
@@ -15,8 +16,18 @@ CoreModel::CoreModel(const CoreParams& params) : params_(params) {
   // base CPI in picoseconds per instruction, kept as a rational so long
   // runs accumulate no floating-point drift: cpi / freq_ghz ns/inst.
   const double ps_per_inst = params_.base_cpi / params_.freq_ghz * 1000.0;
-  cpi_ticks_num_ = static_cast<Tick>(ps_per_inst * 1024.0 + 0.5);
-  cpi_ticks_den_ = 1024;
+  cpi_ticks_num_ = static_cast<Tick>(
+      ps_per_inst * static_cast<double>(Tick{1} << kCpiShift) + 0.5);
+}
+
+void MissRing::reserve(std::size_t n) {
+  const std::size_t cap = std::bit_ceil(std::max<std::size_t>(n, 1));
+  if (cap <= slots_.size()) return;
+  std::vector<Entry> slots(cap);
+  for (std::size_t i = 0; i < size_; ++i) slots[i] = (*this)[i];
+  slots_ = std::move(slots);
+  mask_ = cap - 1;
+  head_ = 0;
 }
 
 void RunLoopState::save(snap::Writer& w) const {
@@ -27,9 +38,9 @@ void RunLoopState::save(snap::Writer& w) const {
     w.put_u64(c.misses);
     w.put_u64(c.inst_at_reset);
     w.put_u64(c.rob.size());
-    for (const auto& [inst_at_issue, complete] : c.rob) {
-      w.put_u64(inst_at_issue);
-      w.put_u64(complete);
+    for (std::size_t i = 0; i < c.rob.size(); ++i) {
+      w.put_u64(c.rob[i].inst);
+      w.put_u64(c.rob[i].done);
     }
   }
   w.put_u64(total_inst);
@@ -47,12 +58,15 @@ void RunLoopState::load(snap::Reader& r) {
     c.inst = r.get_u64();
     c.misses = r.get_u64();
     c.inst_at_reset = r.get_u64();
-    c.rob.clear();
+    c.rob = MissRing{};
     const u64 depth = r.get_u64();
     for (u64 i = 0; i < depth; ++i) {
       const u64 inst_at_issue = r.get_u64();
       const Tick complete = r.get_u64();
-      c.rob.emplace_back(inst_at_issue, complete);
+      // Grown as entries arrive, so a corrupt depth fails on the read
+      // past the end rather than on one huge allocation.
+      c.rob.reserve(static_cast<std::size_t>(i) + 1);
+      c.rob.push_back({inst_at_issue, complete});
     }
   }
   total_inst = r.get_u64();
@@ -111,6 +125,7 @@ CoreResult CoreModel::run_sources(
   BB_CHECK(!sources.empty(), "run_sources needs at least one source");
   BB_CHECK(sources.size() == bases.size(),
            "run_sources needs one address base per source");
+  BB_CHECK(params_.mlp > 0, "run_sources needs mlp >= 1");
   CoreResult res;
   const u32 n = static_cast<u32>(sources.size());
   RunLoopState ls;
@@ -131,6 +146,7 @@ CoreResult CoreModel::run_sources(
       hmmc.on_warmup_end(0);
     }
   }
+  for (RunLoopState::Core& core : ls.cores) core.rob.reserve(params_.mlp);
 
   const u64 checkpoint_every =
       control != nullptr ? control->checkpoint_every_records : 0;
@@ -188,22 +204,21 @@ CoreResult CoreModel::run_sources(
     // latency instead of hiding behind the next gap.
     u64 remaining = rec.inst_gap;
     while (!core.rob.empty()) {
-      const u64 stall_inst =
-          core.rob.front().first + params_.rob_window;
+      const u64 stall_inst = core.rob.front().inst + params_.rob_window;
       if (core.inst + remaining <= stall_inst) break;
       const u64 adv = stall_inst > core.inst ? stall_inst - core.inst : 0;
       core.inst += adv;
       remaining -= adv;
-      core.now += adv * cpi_ticks_num_ / cpi_ticks_den_;
-      core.now = std::max(core.now, core.rob.front().second);
+      core.now += (adv * cpi_ticks_num_) >> kCpiShift;
+      core.now = std::max(core.now, core.rob.front().done);
       core.rob.pop_front();
     }
     core.inst += remaining;
-    core.now += remaining * cpi_ticks_num_ / cpi_ticks_den_;
+    core.now += (remaining * cpi_ticks_num_) >> kCpiShift;
 
     // MSHR/MLP limit.
     if (core.rob.size() >= params_.mlp) {
-      core.now = std::max(core.now, core.rob.front().second);
+      core.now = std::max(core.now, core.rob.front().done);
       core.rob.pop_front();
     }
 
@@ -216,7 +231,9 @@ CoreResult CoreModel::run_sources(
 
   Tick end = 0;
   for (auto& core : ls.cores) {
-    for (const auto& o : core.rob) core.now = std::max(core.now, o.second);
+    for (std::size_t i = 0; i < core.rob.size(); ++i) {
+      core.now = std::max(core.now, core.rob[i].done);
+    }
     end = std::max(end, core.now);
   }
   hmmc.drain(end);
@@ -233,52 +250,6 @@ CoreResult CoreModel::run_sources(
                                   ? ls.cores[c].now - ls.tick_at_reset
                                   : 0;
   }
-  return res;
-}
-
-CoreResult CoreModel::run(trace::TraceGenerator& gen, u64 target_instructions,
-                          hmm::HybridMemoryController& hmmc) {
-  CoreResult res;
-  Tick now = 0;
-  u64 inst = 0;
-  std::deque<Outstanding> rob;
-
-  while (inst < target_instructions) {
-    const trace::TraceRecord rec = [&] {
-      prof::ScopedPhase phase(prof::Phase::kTraceGen);
-      return gen.next();
-    }();
-
-    u64 remaining = rec.inst_gap;
-    while (!rob.empty()) {
-      const u64 stall_inst = rob.front().inst + params_.rob_window;
-      if (inst + remaining <= stall_inst) break;
-      const u64 adv = stall_inst > inst ? stall_inst - inst : 0;
-      inst += adv;
-      remaining -= adv;
-      now += adv * cpi_ticks_num_ / cpi_ticks_den_;
-      now = std::max(now, rob.front().done);
-      rob.pop_front();
-    }
-    inst += remaining;
-    now += remaining * cpi_ticks_num_ / cpi_ticks_den_;
-
-    if (rob.size() >= params_.mlp) {
-      now = std::max(now, rob.front().done);
-      rob.pop_front();
-    }
-
-    const Tick issue = now + params_.hierarchy_latency;
-    const auto r = hmmc.access(rec.addr, rec.type, issue);
-    rob.push_back({inst, r.complete});
-    ++res.misses;
-  }
-
-  for (const auto& o : rob) now = std::max(now, o.done);
-  hmmc.drain(now);
-
-  res.instructions = inst;
-  res.elapsed = now;
   return res;
 }
 

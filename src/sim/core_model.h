@@ -12,10 +12,10 @@
 // concurrent misses genuinely contend inside the DRAM bank/bus model.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <vector>
 
+#include "common/check.h"
 #include "common/types.h"
 #include "hmm/controller.h"
 #include "trace/generator.h"
@@ -45,6 +45,45 @@ struct CoreLane {
   Addr base = 0;
 };
 
+/// One core's outstanding misses, oldest first: a ring of fixed capacity.
+/// run_sources never holds more than `mlp` entries per core, so it sizes
+/// each ring once with reserve(mlp) and the loop never allocates.
+class MissRing {
+ public:
+  struct Entry {
+    u64 inst;   ///< instruction index at issue
+    Tick done;  ///< completion tick
+  };
+
+  /// Grows the capacity to the power of two >= n, keeping the entries in
+  /// order. Never shrinks.
+  void reserve(std::size_t n);
+
+  bool empty() const { return size_ == 0; }
+  std::size_t size() const { return size_; }
+  const Entry& front() const { return slots_[head_]; }
+  /// The i-th oldest entry, i < size().
+  const Entry& operator[](std::size_t i) const {
+    return slots_[(head_ + i) & mask_];
+  }
+  void pop_front() {
+    head_ = (head_ + 1) & mask_;
+    --size_;
+  }
+  /// Appends; the caller keeps size() below the reserved capacity.
+  void push_back(const Entry& e) {
+    BB_ASSERT(size_ < slots_.size(), "MissRing push past its capacity");
+    slots_[(head_ + size_) & mask_] = e;
+    ++size_;
+  }
+
+ private:
+  std::vector<Entry> slots_;
+  std::size_t mask_ = 0;  ///< slots_.size() - 1 once reserved
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
+};
+
 /// Serializable state of an in-flight run_sources loop: everything the
 /// loop itself owns — per-core clocks, instruction cursors and ROBs, plus
 /// the aggregate instruction/miss cursors and the warmup posture. Trace
@@ -56,7 +95,7 @@ struct RunLoopState {
     u64 inst = 0;
     u64 misses = 0;          ///< misses since the warmup reset
     u64 inst_at_reset = 0;   ///< instruction count at the warmup reset
-    std::deque<std::pair<u64, Tick>> rob;  ///< (inst at issue, completion)
+    MissRing rob;  ///< outstanding misses, oldest first
   };
   std::vector<Core> cores;
   u64 total_inst = 0;
@@ -175,21 +214,15 @@ class CoreModel {
   static std::vector<CoreLane> homogeneous_lanes(
       const trace::WorkloadProfile& profile, u64 seed, u32 cores);
 
-  /// Single-stream convenience (cores = 1 behaviour) used by unit tests.
-  CoreResult run(trace::TraceGenerator& gen, u64 target_instructions,
-                 hmm::HybridMemoryController& hmmc);
-
   const CoreParams& params() const { return params_; }
 
  private:
-  struct Outstanding {
-    u64 inst;   ///< instruction index at issue
-    Tick done;  ///< completion tick
-  };
+  /// Base CPI in ticks is kept as the fixed-point rational
+  /// cpi_ticks_num_ / 2^kCpiShift.
+  static constexpr u32 kCpiShift = 10;
 
   CoreParams params_;
-  Tick cpi_ticks_num_;  ///< base CPI in ticks, as a rational (num/denom)
-  Tick cpi_ticks_den_;
+  Tick cpi_ticks_num_;
   trace::TraceCaptureSink* capture_ = nullptr;
 };
 

@@ -31,40 +31,45 @@ TraceGenerator::TraceGenerator(const WorkloadProfile& profile, u64 seed)
                                             static_cast<double>(footprint_)),
                            kMaxHotSetBytes) /
                  hot_region_bytes_)),
-      zipf_(std::min<u64>(hot_regions_, 1u << 20), profile.zipf_s) {
+      zipf_(std::min<u64>(hot_regions_, 1u << 20), profile.zipf_s),
+      gap_(profile.mean_inst_gap()),
+      hot_or_scan_(profile.w_hot + profile.w_scan),
+      footprint_lines_(footprint_ / kLineBytes),
+      region_blocks_(hot_region_bytes_ / kLineBytes),
+      total_regions_(footprint_ / hot_region_bytes_),
+      // Hot regions scatter within a bounded arena (a few times the
+      // hot-set size), not across the whole footprint: programs keep hot
+      // structures in specific allocation ranges, so the number of
+      // distinct pages holding hot data stays bounded even for
+      // weak-spatial workloads. Collisions merely merge two hot regions.
+      arena_regions_(
+          std::min(footprint_, 8 * hot_regions_ * hot_region_bytes_) /
+          hot_region_bytes_),
+      // Offset the arena away from the scan's starting point.
+      arena_base_region_(total_regions_ / 3) {
   hot_cursor_.assign(static_cast<std::size_t>(zipf_.n()), 0);
 }
 
 Addr TraceGenerator::region_base(u64 i) const {
-  // Hot regions scatter within a bounded arena (a few times the hot-set
-  // size), not across the whole footprint: programs keep hot structures in
-  // specific allocation ranges, so the number of distinct pages holding
-  // hot data stays bounded even for weak-spatial workloads. Collisions
-  // merely merge two hot regions.
-  const u64 arena_regions =
-      std::min(footprint_, 8 * hot_regions_ * hot_region_bytes_) /
-      hot_region_bytes_;
-  const u64 scattered = (i * 0x9e3779b97f4a7c15ULL) % arena_regions;
-  // Offset the arena away from the scan's starting point.
-  const u64 arena_base_region =
-      (footprint_ / hot_region_bytes_) / 3;
-  const u64 total_regions = footprint_ / hot_region_bytes_;
-  return ((arena_base_region + scattered) % total_regions) *
-         hot_region_bytes_;
+  const u64 scattered = (i * 0x9e3779b97f4a7c15ULL) % arena_regions_;
+  // arena_base_region_ <= total_regions_ / 3 and scattered <
+  // arena_regions_ <= total_regions_, so the sum wraps at most once.
+  u64 region = arena_base_region_ + scattered;
+  if (region >= total_regions_) region -= total_regions_;
+  return region * hot_region_bytes_;
 }
 
 Addr TraceGenerator::hot_address() {
   const u64 region = zipf_.sample(rng_);
   const Addr base = region_base(region);
-  const u64 blocks = hot_region_bytes_ / kLineBytes;
   u64 block;
   if (rng_.next_bool(profile_.spatial)) {
     // Sequential walk within the region.
     u16& cur = hot_cursor_[static_cast<std::size_t>(region)];
     block = cur;
-    cur = static_cast<u16>((cur + 1) % blocks);
+    cur = static_cast<u16>((cur + 1) & (region_blocks_ - 1));
   } else {
-    block = rng_.next_below(blocks);
+    block = rng_.next_below(region_blocks_);
   }
   return base + block * kLineBytes;
 }
@@ -77,16 +82,16 @@ Addr TraceGenerator::scan_address() {
 }
 
 Addr TraceGenerator::cold_address() {
-  return rng_.next_below(footprint_ / kLineBytes) * kLineBytes;
+  return rng_.next_below(footprint_lines_) * kLineBytes;
 }
 
 TraceRecord TraceGenerator::next() {
   TraceRecord rec;
-  rec.inst_gap = rng_.next_gap(profile_.mean_inst_gap());
+  rec.inst_gap = gap_.sample(rng_);
   const double u = rng_.next_double();
   if (u < profile_.w_hot) {
     rec.addr = hot_address();
-  } else if (u < profile_.w_hot + profile_.w_scan) {
+  } else if (u < hot_or_scan_) {
     rec.addr = scan_address();
   } else {
     rec.addr = cold_address();

@@ -99,6 +99,16 @@ class TraceGenerator : public TraceSource {
   u64 hot_region_bytes_;
   u64 hot_regions_;
   ZipfSampler zipf_;
+
+  // Per-record constants derived from the profile at construction.
+  GeometricGap gap_;
+  double hot_or_scan_;      ///< w_hot + w_scan: below it, not a cold miss
+  u64 footprint_lines_;     ///< footprint_ / kLineBytes
+  u64 region_blocks_;       ///< lines per hot region (a power of two)
+  u64 total_regions_;       ///< hot-region-sized slots in the footprint
+  u64 arena_regions_;       ///< slots of the arena hot regions scatter in
+  u64 arena_base_region_;   ///< first arena slot, below total_regions_
+
   Addr scan_cursor_ = 0;
   std::vector<u16> hot_cursor_;  ///< per-region sequential block cursor
 };

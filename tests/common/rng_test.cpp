@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -67,7 +68,8 @@ TEST(Rng, GapMeanMatches) {
   for (double mean : {2.0, 10.0, 62.1, 1000.0}) {
     double sum = 0;
     const int n = 200000;
-    for (int i = 0; i < n; ++i) sum += static_cast<double>(rng.next_gap(mean));
+    const GeometricGap gap(mean);
+    for (int i = 0; i < n; ++i) sum += static_cast<double>(gap.sample(rng));
     EXPECT_NEAR(sum / n / mean, 1.0, 0.05) << "mean " << mean;
   }
 }
@@ -75,8 +77,8 @@ TEST(Rng, GapMeanMatches) {
 TEST(Rng, GapAlwaysPositive) {
   Rng rng(4);
   for (int i = 0; i < 1000; ++i) {
-    ASSERT_GE(rng.next_gap(0.5), 1u);
-    ASSERT_GE(rng.next_gap(1.0), 1u);
+    ASSERT_GE(GeometricGap(0.5).sample(rng), 1u);
+    ASSERT_GE(GeometricGap(1.0).sample(rng), 1u);
   }
 }
 
@@ -123,6 +125,52 @@ TEST(Zipf, SingleElement) {
 TEST(Zipf, ZeroElementsClamped) {
   ZipfSampler zipf(0, 1.0);
   EXPECT_EQ(zipf.n(), 1u);
+}
+
+TEST(Zipf, BranchlessSearchMatchesLowerBound) {
+  // The oracle is the std::lower_bound search sample() ran before. Sizes
+  // cover the degenerate tables and the hot-region counts of mcf, lbm and
+  // cam4; s = 8 makes the tail of the CDF round to runs of equal entries.
+  for (u64 n : {1u, 2u, 3u, 160u, 3676u, 24576u}) {
+    for (double s : {0.0, 0.9, 8.0}) {
+      const ZipfSampler zipf(n, s);
+      const std::vector<double>& cdf = zipf.cdf();
+      const auto lower_bound_index = [&](double u) {
+        return static_cast<u64>(std::lower_bound(cdf.begin(), cdf.end(), u) -
+                                cdf.begin());
+      };
+      for (double c : cdf) {
+        ASSERT_EQ(zipf.index_of(c), lower_bound_index(c)) << n << " " << s;
+      }
+      ASSERT_EQ(zipf.index_of(0.0), 0u);
+      Rng draws(n), oracle(n);
+      for (int i = 0; i < 1'000'000; ++i) {
+        ASSERT_EQ(zipf.sample(draws), lower_bound_index(oracle.next_double()))
+            << n << " " << s << " draw " << i;
+      }
+    }
+  }
+}
+
+TEST(GeometricGap, MatchesPerDrawFormula) {
+  // The oracle recomputes log1p(-1/mean) on every draw, as Rng::next_gap
+  // did before the term was hoisted.
+  for (double mean : {0.5, 1.0, 1.5, 62.1, 1000.0, 1e7}) {
+    const GeometricGap gap(mean);
+    Rng draws(5), oracle(5);
+    for (int i = 0; i < 100'000; ++i) {
+      u64 expected = 1;
+      if (mean > 1.0) {
+        const double p = 1.0 / mean;
+        const double u = oracle.next_double();
+        const double g = std::log1p(-u) / std::log1p(-p);
+        expected = static_cast<u64>(g) + 1;
+        if (expected == 0) expected = 1;
+      }
+      ASSERT_EQ(gap.sample(draws), expected) << mean << " draw " << i;
+    }
+    ASSERT_EQ(draws.state(), oracle.state()) << mean;
+  }
 }
 
 class RngSeedTest : public ::testing::TestWithParam<u64> {};

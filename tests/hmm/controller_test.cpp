@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "common/rng.h"
+
 namespace bb::hmm {
 namespace {
 
@@ -164,6 +166,28 @@ TEST(HmmStats, DerivedMetrics) {
   EXPECT_DOUBLE_EQ(s.hbm_serve_rate(), 0.4);
   EXPECT_NEAR(s.overfetch_fraction(), 0.13, 1e-12);
   EXPECT_DOUBLE_EQ(s.mal_fraction(), 0.15);
+}
+
+TEST(HmmStats, LatencyBucketMatchesDoubleSearch) {
+  // The oracle is the search access() ran before the O(1) lookup: convert
+  // the tick latency to fractional ns and count the bounds at or below it.
+  const Histogram oracle(HmmStats::latency_bounds_ns());
+  const auto expect_same = [&](Tick t) {
+    ASSERT_EQ(HmmStats::latency_bucket(t), oracle.bucket_of(ticks_to_ns(t)))
+        << "t = " << t;
+  };
+  for (Tick t = 0; t <= 1'100'000; ++t) expect_same(t);
+  for (u32 b : HmmStats::kLatencyBoundsNs) {
+    const Tick edge = Tick{b} * kTicksPerNs;
+    for (Tick t = edge - 2000; t <= edge + 2000; ++t) expect_same(t);
+  }
+  Rng rng(17);
+  for (int i = 0; i < 1'000'000; ++i) expect_same(rng.next_below(u64{1} << 53));
+  // Log-uniform draws cover every magnitude, not just the top bits.
+  for (int i = 0; i < 1'000'000; ++i) {
+    expect_same(rng.next_u64() >> rng.next_below(64));
+  }
+  expect_same(~Tick{0});
 }
 
 }  // namespace

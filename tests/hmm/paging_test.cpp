@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -167,6 +168,35 @@ TEST(Paging, DisabledNeverFaults) {
     EXPECT_EQ(p.touch(i * 4 * KiB), 0u);
   }
   EXPECT_EQ(p.stats().faults, 0u);
+}
+
+TEST(Paging, RejectsConfigHoldingNoWholePage) {
+  // A resident set of zero pages has no victim for the first touch's
+  // capacity fault; the constructor refuses it instead.
+  PagingConfig cfg;
+  cfg.visible_bytes = 1 * KiB;
+  EXPECT_THROW(PagingModel{cfg}, std::invalid_argument);
+  cfg.visible_bytes = cfg.os_page_bytes - 1;
+  EXPECT_THROW(PagingModel{cfg}, std::invalid_argument);
+  cfg.visible_bytes = cfg.os_page_bytes;
+  PagingModel one_page(cfg);
+  EXPECT_EQ(one_page.touch(0), 0u);
+  EXPECT_EQ(one_page.touch(kPage), cfg.fault_penalty);
+}
+
+TEST(Paging, RejectsPageSizeThatIsNotAPowerOfTwo) {
+  for (u64 bytes : {u64{0}, u64{3000}, u64{4 * KiB + 1}, u64{12 * KiB}}) {
+    PagingConfig cfg;
+    cfg.os_page_bytes = bytes;
+    EXPECT_THROW(PagingModel{cfg}, std::invalid_argument) << bytes;
+  }
+  PagingConfig huge;
+  huge.os_page_bytes = 2 * MiB;
+  PagingModel p(huge);
+  EXPECT_EQ(p.touch(2 * MiB - 1), 0u);
+  EXPECT_EQ(p.stats().first_touches, 1u);
+  p.touch(2 * MiB);
+  EXPECT_EQ(p.stats().first_touches, 2u);
 }
 
 TEST(Paging, HighVisibilityAbsorbsLargeFootprint) {

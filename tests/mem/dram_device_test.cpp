@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
+#include "common/rng.h"
+#include "common/snapshot.h"
+
 namespace bb::mem {
 namespace {
 
@@ -139,6 +145,36 @@ TEST_P(DramDeviceTest, ConcurrentStreamsAreSlowerThanOne) {
             .complete;
   }
   EXPECT_GT(last_loaded, last_single);
+}
+
+TEST_P(DramDeviceTest, MovedBytesIsTheSumOverClasses) {
+  // total_bytes() reads a running total; it must equal the per-class sums
+  // after any mix of accesses and after a save/load round trip.
+  DramDevice dev(params());
+  Rng rng(12);
+  Tick now = 0;
+  for (int i = 0; i < 2000; ++i) {
+    now += 2000;
+    const auto cls =
+        static_cast<TrafficClass>(rng.next_below(kTrafficClassCount));
+    const auto type =
+        rng.next_bool(0.4) ? AccessType::kWrite : AccessType::kRead;
+    dev.access(rng.next_below(2 * dev.capacity()), 1 + rng.next_below(4096),
+               type, now, cls);
+    const DramStats& s = dev.stats();
+    ASSERT_EQ(s.total_bytes(), s.total_read_bytes() + s.total_write_bytes());
+  }
+  const std::string path =
+      std::string(::testing::TempDir()) + "/moved_bytes.bbsnap";
+  snap::Writer w;
+  dev.save(w);
+  w.commit(path);
+  DramDevice restored(params());
+  snap::Reader r(path);
+  restored.load(r);
+  std::remove(path.c_str());
+  EXPECT_GT(restored.stats().total_bytes(), 0u);
+  EXPECT_EQ(restored.stats().total_bytes(), dev.stats().total_bytes());
 }
 
 INSTANTIATE_TEST_SUITE_P(Devices, DramDeviceTest,

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <string>
 #include <vector>
 
+#include "common/snapshot.h"
 #include "hmm/controller.h"
 
 namespace bb::sim {
@@ -32,6 +35,14 @@ class FixedLatencyController : public hmm::HybridMemoryController {
   Tick latency_;
 };
 
+/// One generator at address base 0: the single-stream run the first tests
+/// time.
+CoreResult run_one(CoreModel& core, trace::TraceGenerator& gen,
+                   u64 target_instructions,
+                   hmm::HybridMemoryController& mem) {
+  return core.run_sources({&gen}, {0}, target_instructions, mem);
+}
+
 class CoreModelTest : public ::testing::Test {
  protected:
   CoreModelTest()
@@ -49,7 +60,7 @@ TEST_F(CoreModelTest, ZeroLatencyMemoryGivesBaseIpc) {
   CoreModel core(p);
   FixedLatencyController mem(hbm_, dram_, 0);
   trace::TraceGenerator gen(trace::WorkloadProfile::by_name("mcf"), 1);
-  const auto r = core.run(gen, 1'000'000, mem);
+  const auto r = run_one(core, gen, 1'000'000, mem);
   // IPC approaches 1/base_cpi = 4.
   EXPECT_NEAR(r.ipc(p.freq_ghz), 1.0 / p.base_cpi, 0.2);
 }
@@ -62,8 +73,8 @@ TEST_F(CoreModelTest, SlowerMemoryLowersIpc) {
   FixedLatencyController slow(hbm_, dram_, ns_to_ticks(200));
   trace::TraceGenerator g1(trace::WorkloadProfile::by_name("mcf"), 1);
   trace::TraceGenerator g2(trace::WorkloadProfile::by_name("mcf"), 1);
-  const auto rf = core.run(g1, 500'000, fast);
-  const auto rs = core.run(g2, 500'000, slow);
+  const auto rf = run_one(core, g1, 500'000, fast);
+  const auto rs = run_one(core, g2, 500'000, slow);
   EXPECT_GT(rf.ipc(p.freq_ghz), rs.ipc(p.freq_ghz) * 1.5);
 }
 
@@ -77,7 +88,7 @@ TEST_F(CoreModelTest, IsolatedMissExposesFullLatency) {
   const Tick lat = ns_to_ticks(1000);
   FixedLatencyController mem(hbm_, dram_, lat);
   trace::TraceGenerator gen(trace::WorkloadProfile::by_name("leela"), 1);
-  const auto r = core.run(gen, 2'000'000, mem);
+  const auto r = run_one(core, gen, 2'000'000, mem);
   // Elapsed >= compute time + misses * latency (almost no overlap).
   const Tick compute = static_cast<Tick>(2'000'000 * p.base_cpi /
                                          p.freq_ghz * 1000);
@@ -96,9 +107,86 @@ TEST_F(CoreModelTest, BurstyMissesOverlapUpToMlp) {
   const Tick lat = ns_to_ticks(800);
   FixedLatencyController mem(hbm_, dram_, lat);
   trace::TraceGenerator gen(trace::WorkloadProfile::by_name("roms"), 1);
-  const auto r = core.run(gen, 1'000'000, mem);
+  const auto r = run_one(core, gen, 1'000'000, mem);
   // With overlap, elapsed must be far below misses * latency.
   EXPECT_LT(r.elapsed, r.misses * lat / 4);
+}
+
+TEST(MissRing, KeepsOrderAcrossWrapAndGrowth) {
+  MissRing ring;
+  ring.reserve(3);  // rounds up to 4 slots
+  for (u64 i = 0; i < 4; ++i) ring.push_back({i, 10 * i});
+  ring.pop_front();
+  ring.pop_front();
+  ring.push_back({4, 40});
+  ring.push_back({5, 50});  // entries 2..5 now wrap the end of the slots
+  ring.reserve(5);          // grows to 8, unwrapping in order
+  ring.push_back({6, 60});
+  ASSERT_EQ(ring.size(), 5u);
+  for (std::size_t i = 0; i < ring.size(); ++i) {
+    EXPECT_EQ(ring[i].inst, i + 2);
+    EXPECT_EQ(ring[i].done, 10 * (i + 2));
+  }
+  EXPECT_EQ(ring.front().inst, 2u);
+  ring.reserve(2);  // never shrinks
+  EXPECT_EQ(ring.size(), 5u);
+  EXPECT_EQ(ring[4].inst, 6u);
+}
+
+TEST_F(CoreModelTest, ResumeWithWrappedRobIsExact) {
+  // Dense misses against slow memory keep the 8-entry ROB ring full. A
+  // checkpoint after 1003 records then holds 8 entries after 995 pops, so
+  // the ring's head sits at slot 3 and its entries wrap the storage end.
+  CoreParams p;
+  p.cores = 1;
+  p.hierarchy_latency = 0;
+  p.rob_window = 10000;
+  p.mlp = 8;
+  CoreModel core(p);
+  const Tick lat = ns_to_ticks(800);
+  const trace::WorkloadProfile& w = trace::WorkloadProfile::by_name("roms");
+
+  FixedLatencyController mem(hbm_, dram_, lat);
+  trace::TraceGenerator gen(w, 1);
+  snap::Writer saved;
+  std::size_t depth_at_checkpoint = 0;
+  bool taken = false;
+  RunControl control;
+  control.checkpoint_every_records = 1003;
+  control.on_checkpoint = [&](const RunLoopState& ls) {
+    if (taken) return;
+    taken = true;
+    depth_at_checkpoint = ls.cores[0].rob.size();
+    ls.save(saved);
+    gen.save_cursor(saved);
+  };
+  const CoreResult full =
+      core.run_sources({&gen}, {0}, 1'000'000, mem, 0, &control);
+  ASSERT_TRUE(taken);
+  ASSERT_EQ(depth_at_checkpoint, p.mlp);
+
+  const std::string path =
+      std::string(::testing::TempDir()) + "/wrapped_rob.bbsnap";
+  saved.commit(path);
+  snap::Reader r(path);
+  RunLoopState state;
+  state.load(r);
+  trace::TraceGenerator resumed_gen(w, 999);  // position comes from r
+  resumed_gen.load_cursor(r);
+  ASSERT_TRUE(r.at_end());
+  std::remove(path.c_str());
+
+  FixedLatencyController resumed_mem(hbm_, dram_, lat);
+  RunControl resume;
+  resume.resume = &state;
+  const CoreResult again = core.run_sources({&resumed_gen}, {0}, 1'000'000,
+                                            resumed_mem, 0, &resume);
+  EXPECT_EQ(again.elapsed, full.elapsed);
+  EXPECT_EQ(again.instructions, full.instructions);
+  EXPECT_EQ(again.misses, full.misses);
+  ASSERT_EQ(again.per_core.size(), 1u);
+  EXPECT_EQ(again.per_core[0].elapsed, full.per_core[0].elapsed);
+  EXPECT_EQ(again.per_core[0].misses, full.per_core[0].misses);
 }
 
 TEST_F(CoreModelTest, MultiCoreAggregatesInstructions) {

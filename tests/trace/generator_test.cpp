@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <string>
+#include <vector>
+
 namespace bb::trace {
 namespace {
 
@@ -52,6 +57,139 @@ TEST(Generator, HotSetCapped) {
   TraceGenerator roms(WorkloadProfile::by_name("roms"), 1);
   EXPECT_LE(roms.hot_region_count() * roms.hot_region_bytes(),
             kMaxHotSetBytes);
+}
+
+/// The generator as it computed each record before its per-record
+/// constants were hoisted to construction: the oracle for the hoisting.
+class ReferenceGenerator {
+ public:
+  ReferenceGenerator(const WorkloadProfile& profile, u64 seed)
+      : profile_(profile),
+        rng_(seed),
+        footprint_(std::max<u64>(profile.footprint_bytes() & ~(kLineBytes - 1),
+                                 64 * KiB)),
+        hot_region_bytes_(u64{1} << (10 + std::clamp(static_cast<int>(
+                                              profile.spatial * 6.0 + 0.5),
+                                          0, 6))),
+        hot_regions_(std::max<u64>(
+            1, std::min<u64>(static_cast<u64>(profile.hot_fraction *
+                                              static_cast<double>(footprint_)),
+                             kMaxHotSetBytes) /
+                   hot_region_bytes_)),
+        zipf_(std::min<u64>(hot_regions_, 1u << 20), profile.zipf_s),
+        hot_cursor_(static_cast<std::size_t>(zipf_.n()), 0) {}
+
+  TraceRecord next() {
+    TraceRecord rec;
+    rec.inst_gap = next_gap(profile_.mean_inst_gap());
+    const double u = rng_.next_double();
+    if (u < profile_.w_hot) {
+      rec.addr = hot_address();
+    } else if (u < profile_.w_hot + profile_.w_scan) {
+      rec.addr = scan_cursor_;
+      scan_cursor_ += kLineBytes;
+      if (scan_cursor_ >= footprint_) scan_cursor_ = 0;
+    } else {
+      rec.addr = rng_.next_below(footprint_ / kLineBytes) * kLineBytes;
+    }
+    rec.type = rng_.next_bool(profile_.write_fraction) ? AccessType::kWrite
+                                                       : AccessType::kRead;
+    return rec;
+  }
+
+ private:
+  u64 next_gap(double mean) {
+    if (mean <= 1.0) return 1;
+    const double p = 1.0 / mean;
+    const double u = rng_.next_double();
+    const double g = std::log1p(-u) / std::log1p(-p);
+    const u64 gap = static_cast<u64>(g) + 1;
+    return gap == 0 ? 1 : gap;
+  }
+
+  Addr region_base(u64 i) const {
+    const u64 arena_regions =
+        std::min(footprint_, 8 * hot_regions_ * hot_region_bytes_) /
+        hot_region_bytes_;
+    const u64 scattered = (i * 0x9e3779b97f4a7c15ULL) % arena_regions;
+    const u64 arena_base_region = (footprint_ / hot_region_bytes_) / 3;
+    const u64 total_regions = footprint_ / hot_region_bytes_;
+    return ((arena_base_region + scattered) % total_regions) *
+           hot_region_bytes_;
+  }
+
+  Addr hot_address() {
+    const std::vector<double>& cdf = zipf_.cdf();
+    const u64 region = static_cast<u64>(
+        std::lower_bound(cdf.begin(), cdf.end(), rng_.next_double()) -
+        cdf.begin());
+    const Addr base = region_base(region);
+    const u64 blocks = hot_region_bytes_ / kLineBytes;
+    u64 block;
+    if (rng_.next_bool(profile_.spatial)) {
+      u16& cur = hot_cursor_[static_cast<std::size_t>(region)];
+      block = cur;
+      cur = static_cast<u16>((cur + 1) % blocks);
+    } else {
+      block = rng_.next_below(blocks);
+    }
+    return base + block * kLineBytes;
+  }
+
+  WorkloadProfile profile_;
+  Rng rng_;
+  u64 footprint_;
+  u64 hot_region_bytes_;
+  u64 hot_regions_;
+  ZipfSampler zipf_;
+  Addr scan_cursor_ = 0;
+  std::vector<u16> hot_cursor_;
+};
+
+class GeneratorOracleTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(GeneratorOracleTest, RecordsMatchPerRecordFormulas) {
+  const WorkloadProfile& w = WorkloadProfile::by_name(GetParam());
+  for (u64 seed : {u64{1}, u64{42}, u64{0x1000003}}) {
+    TraceGenerator gen(w, seed);
+    ReferenceGenerator ref(w, seed);
+    for (int i = 0; i < 100'000; ++i) {
+      const TraceRecord a = gen.next();
+      const TraceRecord b = ref.next();
+      ASSERT_EQ(a.inst_gap, b.inst_gap) << "seed " << seed << " record " << i;
+      ASSERT_EQ(a.addr, b.addr) << "seed " << seed << " record " << i;
+      ASSERT_EQ(a.type, b.type) << "seed " << seed << " record " << i;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllProfiles, GeneratorOracleTest,
+                         ::testing::ValuesIn(workload_names()));
+
+TEST(GeneratorOracle, ArenaSpanningTheFootprintWrapsLikeTheModulo) {
+  // The scatter arena is eight hot sets wide and starts a third of the
+  // way into the footprint, so only hot sets above about 1/12 of the
+  // footprint reach the wrap past its end. No Table II profile does.
+  for (double hot_fraction : {0.125, 0.3, 0.6}) {
+    for (double spatial : {0.0, 0.5, 1.0}) {
+      WorkloadProfile w = WorkloadProfile::by_name("mcf");
+      w.footprint_gb = 0.05;
+      w.hot_fraction = hot_fraction;
+      w.spatial = spatial;
+      w.w_hot = 0.9;
+      w.w_scan = 0.05;
+      TraceGenerator gen(w, 7);
+      ReferenceGenerator ref(w, 7);
+      for (int i = 0; i < 100'000; ++i) {
+        const TraceRecord a = gen.next();
+        const TraceRecord b = ref.next();
+        ASSERT_EQ(a.addr, b.addr) << hot_fraction << " " << spatial << " "
+                                  << "record " << i;
+        ASSERT_EQ(a.inst_gap, b.inst_gap);
+        ASSERT_EQ(a.type, b.type);
+      }
+    }
+  }
 }
 
 class ProfileCalibrationTest
