@@ -1,7 +1,8 @@
 // Generic set-associative, write-back, write-allocate cache model.
 //
-// Used for the SRAM hierarchy (L1/L2/L3 of Table I) and, at page/line
-// granularities up to 64 KB, for the Figure 1 cHBM access-count study.
+// Used for the SRAM metadata cache in front of HBM-resident metadata
+// (hmm/metadata) and, at page/line granularities up to 64 KB, for the
+// Figure 1 cHBM access-count study.
 // Tracks per-line access counts and exposes an eviction hook so observers
 // can build "accesses before eviction" distributions.
 #pragma once

@@ -1,5 +1,6 @@
-// Replacement policies for the SRAM cache hierarchy (Table I):
-//   L1: LRU, L2: SRRIP, L3: DRRIP (set-dueling between SRRIP and BRRIP).
+// Replacement policies for the set-associative cache model: LRU, SRRIP
+// and DRRIP (set-dueling between SRRIP and BRRIP), the policies Table I
+// gives its L1, L2 and L3.
 //
 // A policy owns its per-set recency state; the cache calls back on fills and
 // hits and asks for a victim way when a set is full.

@@ -58,6 +58,17 @@ double JsonValue::get_number(const std::string& key, double fallback) const {
   return v && v->type == Type::kNumber ? v->number : fallback;
 }
 
+bool JsonValue::get_u64(const std::string& key, std::uint64_t& out) const {
+  const JsonValue* v = find(key);
+  if (v == nullptr) {
+    out = 0;
+    return true;
+  }
+  if (v->type != Type::kNumber || !v->is_exact_u64) return false;
+  out = v->exact;
+  return true;
+}
+
 namespace {
 
 // Recursive-descent parser over a string_view cursor. Depth is bounded to
@@ -182,6 +193,16 @@ class JsonParser {
     }
     out.type = JsonValue::Type::kNumber;
     out.number = v;
+    // Digits only: also keep the exact value, which a double rounds above
+    // 2^53. from_chars rejects (out of range) anything above 2^64-1.
+    const std::string_view token = text_.substr(start, pos_ - start);
+    if (token.find_first_not_of("0123456789") == std::string_view::npos) {
+      const auto exact = std::from_chars(token.data(),
+                                         token.data() + token.size(),
+                                         out.exact);
+      out.is_exact_u64 = exact.ec == std::errc{} &&
+                         exact.ptr == token.data() + token.size();
+    }
     return true;
   }
 

@@ -6,6 +6,7 @@
 // tiny and locale-independent rather than pulling in a library.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -24,13 +25,18 @@ std::string json_escape(std::string_view s);
 std::string json_double(double v);
 
 /// Parsed JSON value. Objects keep keys in a std::map (sorted, so
-/// iteration is deterministic); numbers are stored as double.
+/// iteration is deterministic); numbers are stored as double, and a plain
+/// non-negative integer literal also keeps its exact 64-bit value.
 struct JsonValue {
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
 
   Type type = Type::kNull;
   bool boolean = false;
   double number = 0.0;
+  /// True when the number was written as digits only and fits in 64 bits;
+  /// `exact` then holds its value (`number` may have rounded above 2^53).
+  bool is_exact_u64 = false;
+  std::uint64_t exact = 0;
   std::string string;
   std::vector<JsonValue> array;
   std::map<std::string, JsonValue> object;
@@ -44,6 +50,11 @@ struct JsonValue {
   std::string get_string(const std::string& key,
                          const std::string& fallback = {}) const;
   double get_number(const std::string& key, double fallback = 0.0) const;
+  /// Exact unsigned-integer member: an absent key yields 0, a plain
+  /// non-negative integer literal that fits in 64 bits yields its value.
+  /// Returns false for anything else (a negative, fractional, exponent-form
+  /// or out-of-range number, or a non-number), leaving `out` untouched.
+  bool get_u64(const std::string& key, std::uint64_t& out) const;
 };
 
 /// Parses one JSON document from `text`. Returns false (and fills `error`

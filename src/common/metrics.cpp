@@ -1,6 +1,8 @@
 #include "common/metrics.h"
 
+#include <algorithm>
 #include <ostream>
+#include <stdexcept>
 
 #include "common/check.h"
 #include "common/json.h"
@@ -10,19 +12,37 @@
 namespace bb {
 
 void MetricRegistry::add_counter(std::string name, Probe probe) {
-  metrics_.push_back(
-      {std::move(name), MetricKind::kCounter, std::move(probe), nullptr});
+  add({std::move(name), MetricKind::kCounter, std::move(probe), nullptr});
 }
 
 void MetricRegistry::add_gauge(std::string name, Probe probe) {
-  metrics_.push_back(
-      {std::move(name), MetricKind::kGauge, std::move(probe), nullptr});
+  add({std::move(name), MetricKind::kGauge, std::move(probe), nullptr});
 }
 
 void MetricRegistry::add_ratio(std::string name, Probe numerator,
                                Probe denominator) {
-  metrics_.push_back({std::move(name), MetricKind::kRatio,
-                      std::move(numerator), std::move(denominator)});
+  add({std::move(name), MetricKind::kRatio, std::move(numerator),
+       std::move(denominator)});
+}
+
+void MetricRegistry::add(Metric m) {
+  const std::string& name = m.name;
+  const bool snake_case =
+      !name.empty() && name[0] >= 'a' && name[0] <= 'z' &&
+      std::all_of(name.begin(), name.end(), [](char c) {
+        return (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c == '_';
+      });
+  if (!snake_case) {
+    throw std::invalid_argument("metric probe name '" + name +
+                                "' is not snake_case ([a-z][a-z0-9_]*); it "
+                                "becomes an epoch CSV column");
+  }
+  if (std::any_of(metrics_.begin(), metrics_.end(),
+                  [&name](const Metric& prior) { return prior.name == name; })) {
+    throw std::invalid_argument("duplicate metric probe name '" + name +
+                                "'; the epoch CSV column would be ambiguous");
+  }
+  metrics_.push_back(std::move(m));
 }
 
 std::vector<std::string> MetricRegistry::names() const {

@@ -31,7 +31,9 @@ enum class MetricKind : u8 {
 };
 
 /// Named metric probes, registered in a fixed (deterministic) order that
-/// becomes the epoch CSV column order.
+/// becomes the epoch CSV column order. Each add_* throws
+/// std::invalid_argument when the name is not snake_case
+/// ([a-z][a-z0-9_]*) or is already registered.
 class MetricRegistry {
  public:
   using Probe = std::function<double()>;
@@ -55,6 +57,7 @@ class MetricRegistry {
     Probe probe;
     Probe denom;  ///< kRatio only
   };
+  void add(Metric m);
   std::vector<Metric> metrics_;
 };
 

@@ -1,7 +1,7 @@
 // Structured event trace: discrete simulation events keyed to the
-// simulated tick (never wall clock — tools/lint_determinism enforces
-// this), serializable as JSONL or as the Chrome trace_event format that
-// Perfetto / about:tracing load directly.
+// simulated tick (never wall clock — `tools/bb_analyze --rules=determinism`
+// enforces this), serializable as JSONL or as the Chrome trace_event
+// format that Perfetto / about:tracing load directly.
 //
 // Emitters build TraceEvents only when a sink is attached, so the layer
 // costs a single pointer test per potential event when tracing is off.

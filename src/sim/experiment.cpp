@@ -35,77 +35,57 @@ void append_class_object(std::string& out,
   out += '}';
 }
 
-/// True when any reliability counter of the run is nonzero (only possible
-/// with fault injection enabled).
-bool has_fault_fields(const RunResult& r) {
-  return r.ce_count || r.ue_count || r.due_retries || r.due_unrecovered ||
-         r.due_data_loss || r.retired_rows || r.retired_frames ||
-         r.degraded_sets;
+/// Reads a per-class byte object (absent: the counts stay zero). Returns
+/// false when a count is not an exact u64.
+bool parse_class_object(const JsonValue& v, const char* key,
+                        std::array<u64, mem::kTrafficClassCount>& out) {
+  const JsonValue* obj = v.find(key);
+  if (!obj || !obj->is_object()) return true;
+  for (std::size_t c = 0; c < mem::kTrafficClassCount; ++c) {
+    if (!obj->get_u64(mem::to_string(static_cast<mem::TrafficClass>(c)),
+                      out[c])) {
+      return false;
+    }
+  }
+  return true;
 }
 
-/// True when any request-queue stat of the run is nonzero (only possible
-/// with the queue layer enabled).
-bool has_queue_fields(const RunResult& r) {
-  return r.queueing_latency_avg != 0 || r.read_queue_latency_avg != 0 ||
-         r.req_queue_length_avg != 0 || r.write_drain_count != 0;
+/// Appends `"key":value,` for each field of `fields` whose group `gates`
+/// exports.
+template <class Row, class Fields>
+void append_json_fields(std::string& out, const Row& row,
+                        const Fields& fields, FieldGates gates) {
+  for (const auto& f : fields) {
+    if (!(gates & gate_bit(f.group))) continue;
+    out += '"';
+    out += f.key;
+    out += "\":";
+    out += field_json(row, f);
+    out += ',';
+  }
 }
 
-/// True when any row of the sweep is a watchdog placeholder — gates the
-/// timed_out column so deadline-free outputs keep their historical shape.
-bool any_timed_out(const std::vector<RunResult>& results) {
-  return std::any_of(results.begin(), results.end(),
-                     [](const RunResult& r) { return r.timed_out; });
+template <class Fields>
+void append_csv_header(std::vector<std::string>& header, const Fields& fields,
+                       FieldGates gates) {
+  for (const auto& f : fields) {
+    if (gates & gate_bit(f.group)) header.emplace_back(f.key);
+  }
+}
+
+template <class Row, class Fields>
+void append_csv_cells(std::vector<std::string>& row_cells, const Row& row,
+                      const Fields& fields, FieldGates gates) {
+  for (const auto& f : fields) {
+    if (gates & gate_bit(f.group)) row_cells.push_back(field_csv(row, f));
+  }
 }
 
 /// One result as a single-line JSON object — the element format of
-/// write_json and the line format of the checkpoint journal. The
-/// reliability and request-queue fields are emitted only on request so
-/// legacy outputs stay byte-identical to their earlier forms.
-std::string result_to_json(const RunResult& r, bool include_fault,
-                           bool include_queue, bool include_timeout) {
+/// write_json and the line format of the checkpoint journal.
+std::string result_to_json(const RunResult& r, FieldGates gates) {
   std::string out = "{";
-  out += "\"design\":\"" + json_escape(r.design) + "\",";
-  out += "\"workload\":\"" + json_escape(r.workload) + "\",";
-  out += "\"instructions\":" + std::to_string(r.instructions) + ',';
-  out += "\"misses\":" + std::to_string(r.misses) + ',';
-  out += "\"ipc\":" + json_double(r.ipc) + ',';
-  out += "\"hbm_bytes\":" + std::to_string(r.hbm_bytes) + ',';
-  out += "\"dram_bytes\":" + std::to_string(r.dram_bytes) + ',';
-  out += "\"energy_mj\":" + json_double(r.energy_mj) + ',';
-  out += "\"hbm_serve_rate\":" + json_double(r.hbm_serve_rate) + ',';
-  out += "\"mean_latency_ns\":" + json_double(r.mean_latency_ns) + ',';
-  out += "\"latency_p50_ns\":" + json_double(r.latency_p50_ns) + ',';
-  out += "\"latency_p90_ns\":" + json_double(r.latency_p90_ns) + ',';
-  out += "\"latency_p99_ns\":" + json_double(r.latency_p99_ns) + ',';
-  out += "\"latency_p999_ns\":" + json_double(r.latency_p999_ns) + ',';
-  out += "\"mal_fraction\":" + json_double(r.mal_fraction) + ',';
-  out += "\"overfetch\":" + json_double(r.overfetch) + ',';
-  out += "\"page_faults\":" + std::to_string(r.page_faults) + ',';
-  out += "\"metadata_sram_bytes\":" + std::to_string(r.metadata_sram_bytes) +
-         ',';
-  if (include_fault) {
-    out += "\"ce_count\":" + std::to_string(r.ce_count) + ',';
-    out += "\"ue_count\":" + std::to_string(r.ue_count) + ',';
-    out += "\"due_retries\":" + std::to_string(r.due_retries) + ',';
-    out += "\"due_unrecovered\":" + std::to_string(r.due_unrecovered) + ',';
-    out += "\"due_data_loss\":" + std::to_string(r.due_data_loss) + ',';
-    out += "\"retired_rows\":" + std::to_string(r.retired_rows) + ',';
-    out += "\"retired_frames\":" + std::to_string(r.retired_frames) + ',';
-    out += "\"degraded_sets\":" + std::to_string(r.degraded_sets) + ',';
-  }
-  if (include_queue) {
-    out += "\"queueing_latency_avg\":" + json_double(r.queueing_latency_avg) +
-           ',';
-    out += "\"read_queue_latency_avg\":" +
-           json_double(r.read_queue_latency_avg) + ',';
-    out += "\"req_queue_length_avg\":" + json_double(r.req_queue_length_avg) +
-           ',';
-    out += "\"write_drain_count\":" + std::to_string(r.write_drain_count) +
-           ',';
-  }
-  if (include_timeout) {
-    out += "\"timed_out\":" + std::to_string(r.timed_out ? 1 : 0) + ',';
-  }
+  append_json_fields(out, r, kRunFields, gates);
   out += "\"hbm_class_bytes\":";
   append_class_object(out, r.hbm_class_bytes);
   out += ",\"dram_class_bytes\":";
@@ -115,85 +95,49 @@ std::string result_to_json(const RunResult& r, bool include_fault,
 }
 
 /// Parses a RunResult object (journal "run" line or a mix line's
-/// "aggregate"). Returns false when the identifying keys are missing.
+/// "aggregate"). Returns false when the identifying keys are missing or an
+/// integer field holds a value it cannot hold exactly.
 bool parse_run_result(const JsonValue& v, RunResult& r) {
-  r.design = v.get_string("design");
-  r.workload = v.get_string("workload");
-  if (r.design.empty() || r.workload.empty()) return false;
-  r.instructions = static_cast<u64>(v.get_number("instructions"));
-  r.misses = static_cast<u64>(v.get_number("misses"));
-  r.ipc = v.get_number("ipc");
-  r.hbm_bytes = static_cast<u64>(v.get_number("hbm_bytes"));
-  r.dram_bytes = static_cast<u64>(v.get_number("dram_bytes"));
-  r.energy_mj = v.get_number("energy_mj");
-  r.hbm_serve_rate = v.get_number("hbm_serve_rate");
-  r.mean_latency_ns = v.get_number("mean_latency_ns");
-  r.latency_p50_ns = v.get_number("latency_p50_ns");
-  r.latency_p90_ns = v.get_number("latency_p90_ns");
-  r.latency_p99_ns = v.get_number("latency_p99_ns");
-  r.latency_p999_ns = v.get_number("latency_p999_ns");
-  r.mal_fraction = v.get_number("mal_fraction");
-  r.overfetch = v.get_number("overfetch");
-  r.page_faults = static_cast<u64>(v.get_number("page_faults"));
-  r.metadata_sram_bytes =
-      static_cast<u64>(v.get_number("metadata_sram_bytes"));
-  r.ce_count = static_cast<u64>(v.get_number("ce_count"));
-  r.ue_count = static_cast<u64>(v.get_number("ue_count"));
-  r.due_retries = static_cast<u64>(v.get_number("due_retries"));
-  r.due_unrecovered = static_cast<u64>(v.get_number("due_unrecovered"));
-  r.due_data_loss = static_cast<u64>(v.get_number("due_data_loss"));
-  r.retired_rows = static_cast<u64>(v.get_number("retired_rows"));
-  r.retired_frames = static_cast<u64>(v.get_number("retired_frames"));
-  r.degraded_sets = static_cast<u64>(v.get_number("degraded_sets"));
-  r.queueing_latency_avg = v.get_number("queueing_latency_avg");
-  r.read_queue_latency_avg = v.get_number("read_queue_latency_avg");
-  r.req_queue_length_avg = v.get_number("req_queue_length_avg");
-  r.write_drain_count = static_cast<u64>(v.get_number("write_drain_count"));
-  r.timed_out = v.get_number("timed_out") != 0;
-  const auto load_classes =
-      [&v](const char* key, std::array<u64, mem::kTrafficClassCount>& out) {
-        const JsonValue* obj = v.find(key);
-        if (!obj || !obj->is_object()) return;
-        for (std::size_t c = 0; c < mem::kTrafficClassCount; ++c) {
-          out[c] = static_cast<u64>(obj->get_number(
-              mem::to_string(static_cast<mem::TrafficClass>(c))));
-        }
-      };
-  load_classes("hbm_class_bytes", r.hbm_class_bytes);
-  load_classes("dram_class_bytes", r.dram_class_bytes);
+  for (const RunField& f : kRunFields) {
+    if (!parse_field(v, f, r)) return false;
+  }
+  return !r.design.empty() && !r.workload.empty() &&
+         parse_class_object(v, "hbm_class_bytes", r.hbm_class_bytes) &&
+         parse_class_object(v, "dram_class_bytes", r.dram_class_bytes);
+}
+
+/// Parses a mix line's "cores" array (entries that are not objects are
+/// skipped). Returns false when a core holds an inexact integer field.
+bool parse_mix_cores(const JsonValue& v, std::vector<MixCoreResult>& cores) {
+  const JsonValue* arr = v.find("cores");
+  if (!arr || arr->type != JsonValue::Type::kArray) return true;
+  for (const JsonValue& cv : arr->array) {
+    if (!cv.is_object()) continue;
+    MixCoreResult& core = cores.emplace_back();
+    for (const CoreField& f : kCoreFields) {
+      if (!parse_field(cv, f, core)) return false;
+    }
+  }
   return true;
 }
 
 /// One MixResult as a single-line JSON object — the element format of
 /// write_mix_json and the "mix" journal line (minus the kind key).
-std::string mix_result_to_json(const MixResult& r, bool include_fault,
-                               bool include_queue, bool include_timeout) {
+std::string mix_result_to_json(const MixResult& r, FieldGates gates) {
   std::string out = "{\"design\":\"" + json_escape(r.design) +
                     "\",\"mix\":\"" + json_escape(r.mix) +
                     "\",\"weighted_speedup\":" +
                     json_double(r.weighted_speedup) +
                     ",\"hmean_speedup\":" + json_double(r.hmean_speedup) +
                     ",\"max_slowdown\":" + json_double(r.max_slowdown) +
-                    ",\"aggregate\":" +
-                    result_to_json(r.aggregate, include_fault,
-                                   include_queue, include_timeout) +
+                    ",\"aggregate\":" + result_to_json(r.aggregate, gates) +
                     ",\"cores\":[";
   for (std::size_t c = 0; c < r.cores.size(); ++c) {
-    const MixCoreResult& core = r.cores[c];
     if (c) out += ',';
-    out += "{\"core\":" + std::to_string(core.perf.core) +
-           ",\"workload\":\"" + json_escape(core.perf.workload) +
-           "\",\"instructions\":" + std::to_string(core.perf.instructions) +
-           ",\"misses\":" + std::to_string(core.perf.misses) +
-           ",\"ipc\":" + json_double(core.perf.ipc) +
-           ",\"alone_ipc\":" + json_double(core.alone_ipc) +
-           ",\"speedup\":" + json_double(core.speedup) +
-           ",\"hbm_serve_rate\":" + json_double(core.perf.hbm_serve_rate) +
-           ",\"mean_latency_ns\":" + json_double(core.perf.mean_latency_ns) +
-           ",\"latency_p50_ns\":" + json_double(core.perf.latency_p50_ns) +
-           ",\"latency_p99_ns\":" + json_double(core.perf.latency_p99_ns) +
-           ",\"hbm_bytes\":" + std::to_string(core.perf.hbm_bytes) +
-           ",\"dram_bytes\":" + std::to_string(core.perf.dram_bytes) + '}';
+    out += '{';
+    append_json_fields(out, r.cores[c], kCoreFields,
+                       gate_bit(FieldGroup::kBase));
+    out.back() = '}';  // replaces the last field's trailing ','
   }
   out += "]}";
   return out;
@@ -242,32 +186,10 @@ ResultJournal::LoadStats ResultJournal::load_stats(
       m.hmean_speedup = v.get_number("hmean_speedup");
       m.max_slowdown = v.get_number("max_slowdown");
       const JsonValue* agg = v.find("aggregate");
-      if (!agg || !agg->is_object() || !parse_run_result(*agg, m.aggregate)) {
+      if (!agg || !agg->is_object() || !parse_run_result(*agg, m.aggregate) ||
+          !parse_mix_cores(v, m.cores)) {
         ++st.malformed;
         continue;
-      }
-      if (const JsonValue* cores = v.find("cores");
-          cores && cores->type == JsonValue::Type::kArray) {
-        for (const JsonValue& cv : cores->array) {
-          if (!cv.is_object()) continue;
-          MixCoreResult core;
-          core.perf.core = static_cast<u32>(cv.get_number("core"));
-          core.perf.workload = cv.get_string("workload");
-          core.perf.instructions =
-              static_cast<u64>(cv.get_number("instructions"));
-          core.perf.misses = static_cast<u64>(cv.get_number("misses"));
-          core.perf.ipc = cv.get_number("ipc");
-          core.alone_ipc = cv.get_number("alone_ipc");
-          core.speedup = cv.get_number("speedup");
-          core.perf.hbm_serve_rate = cv.get_number("hbm_serve_rate");
-          core.perf.mean_latency_ns = cv.get_number("mean_latency_ns");
-          core.perf.latency_p50_ns = cv.get_number("latency_p50_ns");
-          core.perf.latency_p99_ns = cv.get_number("latency_p99_ns");
-          core.perf.hbm_bytes = static_cast<u64>(cv.get_number("hbm_bytes"));
-          core.perf.dram_bytes =
-              static_cast<u64>(cv.get_number("dram_bytes"));
-          m.cores.push_back(std::move(core));
-        }
       }
       mix_rows_.push_back(std::move(m));
     } else {
@@ -314,8 +236,7 @@ const MixResult* ResultJournal::find_mix(const std::string& design,
 }
 
 std::string ResultJournal::line(const RunResult& r) {
-  return result_to_json(r, has_fault_fields(r), has_queue_fields(r),
-                        r.timed_out);
+  return result_to_json(r, nonzero_groups(r));
 }
 
 std::string ResultJournal::alone_line(const std::string& design,
@@ -329,10 +250,7 @@ std::string ResultJournal::alone_line(const std::string& design,
 std::string ResultJournal::mix_line(const MixResult& r) {
   std::string out = "{\"kind\":\"mix\",";
   // Splice the kind key into the shared mix-object serialization.
-  out += mix_result_to_json(r, has_fault_fields(r.aggregate),
-                            has_queue_fields(r.aggregate),
-                            r.aggregate.timed_out)
-             .substr(1);
+  out += mix_result_to_json(r, nonzero_groups(r.aggregate)).substr(1);
   return out;
 }
 
@@ -840,26 +758,20 @@ void ExperimentRunner::run_mix_matrix(const std::vector<std::string>& designs,
 
 void ExperimentRunner::write_mix_csv(std::ostream& os) const {
   prof::ScopedPhase prof_phase(prof::Phase::kIo);
-  TextTable t({"design", "mix", "core", "workload", "instructions", "misses",
-               "ipc", "alone_ipc", "speedup", "hbm_serve_rate",
-               "mean_latency_ns", "latency_p50_ns", "latency_p99_ns",
-               "hbm_bytes", "dram_bytes", "weighted_speedup",
-               "hmean_speedup", "max_slowdown"});
+  const FieldGates base = gate_bit(FieldGroup::kBase);
+  std::vector<std::string> header = {"design", "mix"};
+  append_csv_header(header, kCoreFields, base);
+  header.insert(header.end(),
+                {"weighted_speedup", "hmean_speedup", "max_slowdown"});
+  TextTable t(header);
   for (const auto& r : mix_results_) {
     for (const auto& c : r.cores) {
-      t.add_row({r.design, r.mix, std::to_string(c.perf.core),
-                 c.perf.workload, std::to_string(c.perf.instructions),
-                 std::to_string(c.perf.misses), fmt_double(c.perf.ipc, 4),
-                 fmt_double(c.alone_ipc, 4), fmt_double(c.speedup, 4),
-                 fmt_double(c.perf.hbm_serve_rate, 4),
-                 fmt_double(c.perf.mean_latency_ns, 2),
-                 fmt_double(c.perf.latency_p50_ns, 2),
-                 fmt_double(c.perf.latency_p99_ns, 2),
-                 std::to_string(c.perf.hbm_bytes),
-                 std::to_string(c.perf.dram_bytes),
-                 fmt_double(r.weighted_speedup, 4),
-                 fmt_double(r.hmean_speedup, 4),
-                 fmt_double(r.max_slowdown, 4)});
+      std::vector<std::string> row = {r.design, r.mix};
+      append_csv_cells(row, c, kCoreFields, base);
+      row.insert(row.end(), {fmt_double(r.weighted_speedup, 4),
+                             fmt_double(r.hmean_speedup, 4),
+                             fmt_double(r.max_slowdown, 4)});
+      t.add_row(row);
     }
   }
   t.print_csv(os);
@@ -867,15 +779,26 @@ void ExperimentRunner::write_mix_csv(std::ostream& os) const {
 
 void ExperimentRunner::write_mix_json(std::ostream& os) const {
   prof::ScopedPhase prof_phase(prof::Phase::kIo);
-  const bool fault = cfg_.fault.enabled();
-  const bool queue = queue_configured();
-  const bool timeout = any_timed_out(results_);
+  const FieldGates gates = writer_gates();
   os << "[\n";
   for (std::size_t i = 0; i < mix_results_.size(); ++i) {
-    os << "  " << mix_result_to_json(mix_results_[i], fault, queue, timeout)
+    os << "  " << mix_result_to_json(mix_results_[i], gates)
        << (i + 1 < mix_results_.size() ? "," : "") << '\n';
   }
   os << "]\n";
+}
+
+FieldGates ExperimentRunner::writer_gates() const {
+  FieldGates gates = gate_bit(FieldGroup::kBase);
+  if (cfg_.fault.enabled()) gates |= gate_bit(FieldGroup::kFault);
+  if (cfg_.hbm.queue.enabled || cfg_.dram.queue.enabled) {
+    gates |= gate_bit(FieldGroup::kQueue);
+  }
+  if (std::any_of(results_.begin(), results_.end(),
+                  [](const RunResult& r) { return r.timed_out; })) {
+    gates |= gate_bit(FieldGroup::kTimeout);
+  }
+  return gates;
 }
 
 std::vector<RunResult> ExperimentRunner::for_design(
@@ -906,67 +829,13 @@ std::vector<std::pair<std::string, double>> ExperimentRunner::normalized(
 
 void ExperimentRunner::write_csv(std::ostream& os) const {
   prof::ScopedPhase prof_phase(prof::Phase::kIo);
-  // The reliability / queue / timeout columns appear only when the
-  // matching subsystem is configured (or a watchdog placeholder exists),
-  // so legacy CSVs keep their historical column set byte-for-byte.
-  const bool fault = cfg_.fault.enabled();
-  const bool queue = queue_configured();
-  const bool timeout = any_timed_out(results_);
-  std::vector<std::string> header = {
-      "design", "workload", "instructions", "misses", "ipc",
-      "hbm_bytes", "dram_bytes", "energy_mj", "hbm_serve_rate",
-      "mean_latency_ns", "latency_p50_ns", "latency_p90_ns",
-      "latency_p99_ns", "latency_p999_ns", "mal_fraction",
-      "overfetch", "page_faults", "metadata_sram_bytes"};
-  if (fault) {
-    header.insert(header.end(),
-                  {"ce_count", "ue_count", "due_retries", "due_unrecovered",
-                   "due_data_loss", "retired_rows", "retired_frames",
-                   "degraded_sets"});
-  }
-  if (queue) {
-    header.insert(header.end(),
-                  {"queueing_latency_avg", "read_queue_latency_avg",
-                   "req_queue_length_avg", "write_drain_count"});
-  }
-  if (timeout) {
-    header.insert(header.end(), {"timed_out"});
-  }
+  const FieldGates gates = writer_gates();
+  std::vector<std::string> header;
+  append_csv_header(header, kRunFields, gates);
   TextTable t(header);
   for (const auto& r : results_) {
-    std::vector<std::string> row = {
-        r.design, r.workload, std::to_string(r.instructions),
-        std::to_string(r.misses), fmt_double(r.ipc, 4),
-        std::to_string(r.hbm_bytes), std::to_string(r.dram_bytes),
-        fmt_double(r.energy_mj, 4), fmt_double(r.hbm_serve_rate, 4),
-        fmt_double(r.mean_latency_ns, 2),
-        fmt_double(r.latency_p50_ns, 2),
-        fmt_double(r.latency_p90_ns, 2),
-        fmt_double(r.latency_p99_ns, 2),
-        fmt_double(r.latency_p999_ns, 2),
-        fmt_double(r.mal_fraction, 4), fmt_double(r.overfetch, 4),
-        std::to_string(r.page_faults),
-        std::to_string(r.metadata_sram_bytes)};
-    if (fault) {
-      row.insert(row.end(),
-                 {std::to_string(r.ce_count), std::to_string(r.ue_count),
-                  std::to_string(r.due_retries),
-                  std::to_string(r.due_unrecovered),
-                  std::to_string(r.due_data_loss),
-                  std::to_string(r.retired_rows),
-                  std::to_string(r.retired_frames),
-                  std::to_string(r.degraded_sets)});
-    }
-    if (queue) {
-      row.insert(row.end(),
-                 {fmt_double(r.queueing_latency_avg, 2),
-                  fmt_double(r.read_queue_latency_avg, 2),
-                  fmt_double(r.req_queue_length_avg, 4),
-                  std::to_string(r.write_drain_count)});
-    }
-    if (timeout) {
-      row.insert(row.end(), {std::to_string(r.timed_out ? 1 : 0)});
-    }
+    std::vector<std::string> row;
+    append_csv_cells(row, r, kRunFields, gates);
     t.add_row(row);
   }
   t.print_csv(os);
@@ -974,20 +843,14 @@ void ExperimentRunner::write_csv(std::ostream& os) const {
 
 void ExperimentRunner::write_json(std::ostream& os) const {
   prof::ScopedPhase prof_phase(prof::Phase::kIo);
-  const bool fault = cfg_.fault.enabled();
-  const bool queue = queue_configured();
-  const bool timeout = any_timed_out(results_);
+  const FieldGates gates = writer_gates();
   os << "[\n";
   for (std::size_t i = 0; i < results_.size(); ++i) {
-    os << "  " << result_to_json(results_[i], fault, queue, timeout)
+    os << "  " << result_to_json(results_[i], gates)
        << (i + 1 < results_.size() ? "," : "") << '\n';
   }
   os << "]\n";
 }
-
-// The profiled overloads stay below the plain writers: tools/bb_analyze's
-// result-schema rule inspects the first definition of each writer, which
-// must remain the canonical (golden-hashed) one.
 
 void ExperimentRunner::write_json(std::ostream& os,
                                   const prof::HostReport& host) const {

@@ -19,6 +19,7 @@
 #include "bumblebee/config.h"
 #include "common/prof.h"
 #include "sim/mix.h"
+#include "sim/result_fields.h"
 #include "sim/system.h"
 
 namespace bb::sim {
@@ -64,8 +65,9 @@ class ResultJournal {
   }
 
   /// Serializes one result as a single journal line (no newline). The line
-  /// is the JSON object write_json emits for the run; the reliability
-  /// fields are included only when any is nonzero.
+  /// is the JSON object write_json emits for the run; a gated field group
+  /// (fault, queue, timeout) is included only when any of its fields is
+  /// nonzero.
   static std::string line(const RunResult& r);
   /// One alone-baseline journal line (kind "alone").
   static std::string alone_line(const std::string& design,
@@ -275,11 +277,11 @@ class ExperimentRunner {
                  const CellFn& cell, const DesignNameFn& design_name,
                  const RunMatrixOptions& opts);
 
-  /// True when either device runs the request-queue layer — gates the
-  /// queue stat columns so queue-off outputs keep their historical shape.
-  bool queue_configured() const {
-    return cfg_.hbm.queue.enabled || cfg_.dram.queue.enabled;
-  }
+  /// The field groups the CSV and JSON writers export: fault and queue
+  /// fields when that subsystem is configured, timed_out when any row is a
+  /// watchdog placeholder. Outputs without them keep their historical
+  /// shape.
+  FieldGates writer_gates() const;
 
   SystemConfig cfg_;
   std::vector<RunResult> results_;

@@ -50,6 +50,31 @@ TEST(JsonParse, RoundTripsJsonDouble) {
   EXPECT_DOUBLE_EQ(v.get_number("x"), val);
 }
 
+// Integer literals keep their exact 64-bit value (a double rounds above
+// 2^53); anything that is not a plain non-negative integer fitting in 64
+// bits is refused by get_u64.
+TEST(JsonParse, ExactUnsignedIntegers) {
+  JsonValue v;
+  ASSERT_TRUE(json_parse(
+      R"({"a":9007199254740993,"b":18446744073709551615,)"
+      R"("c":18446744073709551616,"d":-1,"e":1.5,"f":1e3,"g":"7","h":0})",
+      v));
+  std::uint64_t x = 7;
+  ASSERT_TRUE(v.get_u64("a", x));
+  EXPECT_EQ(x, 9'007'199'254'740'993u);
+  ASSERT_TRUE(v.get_u64("b", x));
+  EXPECT_EQ(x, ~std::uint64_t{0});
+  ASSERT_TRUE(v.get_u64("h", x));
+  EXPECT_EQ(x, 0u);
+  x = 7;
+  for (const char* bad : {"c", "d", "e", "f", "g"}) {
+    EXPECT_FALSE(v.get_u64(bad, x)) << bad;
+    EXPECT_EQ(x, 7u) << bad;
+  }
+  EXPECT_TRUE(v.get_u64("absent", x));
+  EXPECT_EQ(x, 0u);
+}
+
 TEST(JsonParse, RejectsMalformedInput) {
   JsonValue v;
   std::string err;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 
 namespace bb {
 namespace {
@@ -17,6 +18,33 @@ TEST(MetricRegistry, NamesInRegistrationOrder) {
   EXPECT_EQ(reg.kind(0), MetricKind::kCounter);
   EXPECT_EQ(reg.kind(1), MetricKind::kGauge);
   EXPECT_EQ(reg.kind(2), MetricKind::kRatio);
+}
+
+TEST(MetricRegistry, RejectsNamesThatAreNotSnakeCase) {
+  MetricRegistry reg;
+  for (const char* bad :
+       {"", "HbmServeRate", "hbm.serve_rate", "hbm-rate", "0_rate", "_rate",
+        "rate "}) {
+    EXPECT_THROW(reg.add_counter(bad, [] { return 0.0; }),
+                 std::invalid_argument)
+        << "'" << bad << "'";
+  }
+  EXPECT_EQ(reg.size(), 0u);
+  reg.add_gauge("core0_hbm_serve_rate", [] { return 0.0; });
+  EXPECT_EQ(reg.size(), 1u);
+}
+
+TEST(MetricRegistry, RejectsDuplicateNamesAcrossKinds) {
+  MetricRegistry reg;
+  reg.add_counter("page_faults", [] { return 0.0; });
+  EXPECT_THROW(reg.add_counter("page_faults", [] { return 0.0; }),
+               std::invalid_argument);
+  EXPECT_THROW(reg.add_gauge("page_faults", [] { return 0.0; }),
+               std::invalid_argument);
+  EXPECT_THROW(
+      reg.add_ratio("page_faults", [] { return 0.0; }, [] { return 1.0; }),
+      std::invalid_argument);
+  EXPECT_EQ(reg.names(), (std::vector<std::string>{"page_faults"}));
 }
 
 TEST(EpochSampler, RequestDrivenEpochsReportDeltas) {

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <type_traits>
+#include <variant>
+
+#include "expect_identical.h"
 
 namespace bb::sim {
 namespace {
@@ -149,25 +153,6 @@ SystemConfig small_config() {
   cfg.core.cores = 1;
   cfg.warmup_ratio = 0.0;
   return cfg;
-}
-
-void expect_identical(const RunResult& a, const RunResult& b) {
-  EXPECT_EQ(a.design, b.design);
-  EXPECT_EQ(a.workload, b.workload);
-  EXPECT_EQ(a.instructions, b.instructions);
-  EXPECT_EQ(a.misses, b.misses);
-  EXPECT_EQ(a.ipc, b.ipc);
-  EXPECT_EQ(a.hbm_bytes, b.hbm_bytes);
-  EXPECT_EQ(a.dram_bytes, b.dram_bytes);
-  EXPECT_EQ(a.energy_mj, b.energy_mj);
-  EXPECT_EQ(a.hbm_serve_rate, b.hbm_serve_rate);
-  EXPECT_EQ(a.mean_latency_ns, b.mean_latency_ns);
-  EXPECT_EQ(a.mal_fraction, b.mal_fraction);
-  EXPECT_EQ(a.overfetch, b.overfetch);
-  EXPECT_EQ(a.page_faults, b.page_faults);
-  EXPECT_EQ(a.metadata_sram_bytes, b.metadata_sram_bytes);
-  EXPECT_EQ(a.hbm_class_bytes, b.hbm_class_bytes);
-  EXPECT_EQ(a.dram_class_bytes, b.dram_class_bytes);
 }
 
 // Serial (jobs=1) and parallel (jobs=4) executions of the same matrix must
@@ -352,6 +337,103 @@ TEST(Experiment, JournalLoadStatsCountsMalformedLines) {
   EXPECT_NE(journal.find("A", "mcf"), nullptr);
   ASSERT_NE(journal.find_alone("A", "xz"), nullptr);
   EXPECT_DOUBLE_EQ(*journal.find_alone("A", "xz"), 2.0);
+}
+
+// A result whose every exported field is nonzero and distinct, so every
+// gate group is on. Integers sit above 2^53, where a double would round;
+// the class byte counts include 2^53 + 1 and 2^64 - 1.
+RunResult every_field_set() {
+  RunResult r;
+  u64 i = 0;
+  for (const RunField& f : kRunFields) {
+    ++i;
+    std::visit(
+        [&](auto p) {
+          auto& v = r.*p;
+          using V = std::decay_t<decltype(v)>;
+          if constexpr (std::is_same_v<V, std::string>) {
+            v = std::string(f.key) + " \"quoted\"";
+          } else if constexpr (std::is_same_v<V, double>) {
+            v = static_cast<double>(i) + 0.1;
+          } else if constexpr (std::is_same_v<V, bool>) {
+            v = true;
+          } else {
+            v = (u64{1} << 53) + i;
+          }
+        },
+        f.member);
+  }
+  for (std::size_t c = 0; c < mem::kTrafficClassCount; ++c) {
+    r.hbm_class_bytes[c] = ~u64{0} - c;
+    r.dram_class_bytes[c] = (u64{1} << 53) + 1 + c;
+  }
+  return r;
+}
+
+// A journal line carries every gate group whose fields are nonzero, and
+// loading it restores every field exactly, integers included.
+TEST(Experiment, JournalRoundTripsEveryFieldGroup) {
+  RunResult r = every_field_set();
+  r.timed_out = false;  // find() skips watchdog placeholders
+  const std::string line = ResultJournal::line(r);
+  for (const char* key : {"ce_count", "queueing_latency_avg"}) {
+    EXPECT_NE(line.find(key), std::string::npos) << key;
+  }
+  ResultJournal journal;
+  std::istringstream is(line + "\n");
+  ASSERT_EQ(journal.load_stats(is).restored, 1u);
+  const RunResult* got = journal.find(r.design, r.workload);
+  ASSERT_NE(got, nullptr);
+  expect_identical(r, *got);
+
+  // The timeout group round-trips too: the placeholder is loaded, and
+  // find_mix then skips it as timed out.
+  MixResult m;
+  m.design = "A";
+  m.mix = "mcf+lbm";
+  m.aggregate = every_field_set();
+  const std::string mix_line = ResultJournal::mix_line(m);
+  EXPECT_NE(mix_line.find("\"timed_out\":1"), std::string::npos);
+  ResultJournal mixes;
+  std::istringstream mix_is(mix_line + "\n");
+  ASSERT_EQ(mixes.load_stats(mix_is).restored, 1u);
+  EXPECT_EQ(mixes.find_mix("A", "mcf+lbm"), nullptr);
+}
+
+// An integer field holding a negative, fractional or out-of-range value
+// makes its line malformed instead of being cast (undefined behaviour) or
+// rounded. The per-core fields of a mix line are held to the same rule.
+TEST(Experiment, JournalRejectsInexactIntegers) {
+  const std::string good = ResultJournal::line(fake("A", "mcf", 1.5));
+  const std::string misses = "\"misses\":10";
+  ASSERT_NE(good.find(misses), std::string::npos);
+  MixResult m;
+  m.design = "A";
+  m.mix = "mcf+lbm";
+  m.aggregate = fake("A", "mcf+lbm", 1.5);
+  m.cores.resize(1);
+  const std::string good_mix = ResultJournal::mix_line(m);
+  const std::string core = "\"core\":0";
+  ASSERT_NE(good_mix.find(core), std::string::npos);
+
+  std::string text = good + "\n" + good_mix + "\n";
+  for (const char* bad : {"-1", "1.5", "1e30", "18446744073709551616"}) {
+    std::string line = good;
+    line.replace(line.find(misses), misses.size(),
+                 std::string("\"misses\":") + bad);
+    text += line + "\n";
+  }
+  for (const char* bad : {"-1", "1.5", "4294967296"}) {
+    std::string line = good_mix;
+    line.replace(line.find(core), core.size(),
+                 std::string("\"core\":") + bad);
+    text += line + "\n";
+  }
+  ResultJournal journal;
+  std::istringstream is(text);
+  const auto stats = journal.load_stats(is);
+  EXPECT_EQ(stats.restored, 2u);
+  EXPECT_EQ(stats.malformed, 7u);
 }
 
 // Last-line-wins: a journal that records the same cell twice (rerun after a

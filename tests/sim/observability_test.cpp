@@ -145,6 +145,35 @@ TEST(Observability, ArtifactsAbsentWhenDisabled) {
   EXPECT_TRUE(trace.str().empty());
 }
 
+// MetricRegistry rejects bad or duplicate probe names when they are
+// registered. Every design with fault injection, queues and two cores on
+// runs each registration path (controller, both devices, fault, queue and
+// per-core probes) once under that check.
+TEST(Observability, EveryDesignRegistersValidProbeNames) {
+  SystemConfig cfg;
+  cfg.hbm.capacity_bytes = 128 * MiB;  // above Hybrid2's 64 MiB cHBM slice
+  cfg.dram.capacity_bytes = 1280 * MiB;
+  cfg.core.cores = 2;
+  cfg.warmup_ratio = 0.0;
+  cfg.fault = fault::FaultConfig::profile("mixed", 1e-3, 1);
+  cfg.hbm.queue = mem::QueueConfig::fr_fcfs();
+  cfg.dram.queue = mem::QueueConfig::fr_fcfs();
+  cfg.obs.epoch.every_requests = 1'000;
+  const auto& mcf = trace::WorkloadProfile::by_name("mcf");
+  for (const std::string& design : baselines::all_design_names()) {
+    SCOPED_TRACE(design);
+    System sys(cfg);
+    RunResult r;
+    ASSERT_NO_THROW(r = sys.run(design, mcf, 20'000));
+    ASSERT_NE(r.artifacts, nullptr);
+    const auto& cols = r.artifacts->epoch_columns;
+    for (const char* col : {"hbm_write_drain_count", "due_retries",
+                            "core1_requests"}) {
+      EXPECT_NE(std::find(cols.begin(), cols.end(), col), cols.end()) << col;
+    }
+  }
+}
+
 TEST(ResultJournal, RestoresFinishedCellsOnResume) {
   SystemConfig cfg;  // no observability: journal covers scalar results
   std::ostringstream journal_os;

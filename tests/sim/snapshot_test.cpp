@@ -15,6 +15,7 @@
 #include <string>
 
 #include "common/snapshot.h"
+#include "expect_identical.h"
 #include "sim/core_model.h"
 #include "sim/experiment.h"
 #include "sim/system.h"
@@ -48,20 +49,6 @@ std::string snap_path(const SystemConfig& cfg, std::string design,
     if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
   }
   return cfg.snapshot.dir + "/run__" + design + "__" + workload + ".bbsnap";
-}
-
-void expect_identical(const RunResult& a, const RunResult& b) {
-  EXPECT_EQ(a.instructions, b.instructions);
-  EXPECT_EQ(a.misses, b.misses);
-  EXPECT_EQ(a.hbm_bytes, b.hbm_bytes);
-  EXPECT_EQ(a.dram_bytes, b.dram_bytes);
-  EXPECT_EQ(a.page_faults, b.page_faults);
-  EXPECT_DOUBLE_EQ(a.ipc, b.ipc);
-  EXPECT_DOUBLE_EQ(a.energy_mj, b.energy_mj);
-  EXPECT_DOUBLE_EQ(a.hbm_serve_rate, b.hbm_serve_rate);
-  EXPECT_DOUBLE_EQ(a.mean_latency_ns, b.mean_latency_ns);
-  EXPECT_DOUBLE_EQ(a.latency_p99_ns, b.latency_p99_ns);
-  EXPECT_DOUBLE_EQ(a.latency_p999_ns, b.latency_p999_ns);
 }
 
 /// Interrupts the run at the `stop_at`-th record-boundary poll (a snapshot
